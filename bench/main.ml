@@ -689,13 +689,13 @@ let sim_measurement ~reps name system =
   let speedup = if compiled_wall > 0. then interp_wall /. compiled_wall else 1. in
   (interp_wall, compiled_wall, compile_s, speedup)
 
-(* One featured family pass over the workload's variant space vs N
-   per-configuration engine runs on the flattened models — the
-   family-based simulation claim, measured.  Stimuli go to the shared
-   (unprefixed) boundary channels so the family prefix stays shared for
-   as long as the variants agree.  Divergent results abort the
-   benchmark, exactly like the compiled-vs-interpreted arm: the family
-   engine is only a speedup if it is also the same answer. *)
+(* One featured family pass (Sim.Family_compiled) over the workload's
+   variant space vs N per-configuration engine runs on the flattened
+   models — the family-based simulation claim, measured.  Stimuli go to
+   the shared (unprefixed) boundary channels so the family prefix stays
+   shared for as long as the variants agree.  Divergent results abort
+   the benchmark, exactly like the compiled-vs-interpreted arm: the
+   family engine is only a speedup if it is also the same answer. *)
 let family_measurement ~reps name system =
   let assignments = V.Variant_space.enumerate system in
   let flatten a = V.Flatten.flatten system (V.Variant_space.to_choice a) in
@@ -758,48 +758,34 @@ let family_measurement ~reps name system =
     (!best, Option.get !last)
   in
   (* each per-configuration pass flattens its own model, exactly as a
-     sequential sweep over the space would — the family pass flattens
-     inside [Sim.Family.run] too, so both arms carry that cost *)
+     sequential sweep over the space would *)
   let npass_wall, per_config =
     time (fun () ->
         List.map (fun a -> Sim.Engine.run ~limits ~stimuli (flatten a))
           assignments)
   in
-  let family_wall, report =
-    time (fun () -> Sim.Family.run ~limits ~stimuli system)
-  in
-  (* the compiled featured pass amortizes its plan across runs (that is
-     its contract — daemons and sweeps reuse plans), so the plan build
-     sits outside the timed region, like [compile_s] in the sim arm *)
+  (* the featured pass amortizes its plan across runs (that is its
+     contract — daemons and sweeps reuse plans), so the plan build sits
+     outside the timed region, like [compile_s] in the sim arm *)
   let plan = Sim.Family_compiled.plan system in
-  let fam_compiled_wall, compiled_report =
+  let family_wall, report =
     time (fun () -> Sim.Family_compiled.run ~limits ~stimuli plan)
   in
   let digest (r : Sim.Engine.result) =
     (r.Sim.Engine.end_time, r.Sim.Engine.firings, r.Sim.Engine.outcome)
   in
-  let digests_of (report : Sim.Family.report) =
+  let family_digests =
     Array.to_list
-      (Array.map (fun cr -> digest cr.Sim.Family.result) report.Sim.Family.runs)
+      (Array.map
+         (fun cr -> digest cr.Sim.Family_compiled.result)
+         report.Sim.Family_compiled.runs)
   in
-  if List.map digest per_config <> digests_of report then begin
+  if List.map digest per_config <> family_digests then begin
     Format.eprintf "explore-json: FAMILY SIM DIVERGES on %s@." name;
     exit 1
   end;
-  if List.map digest per_config <> digests_of compiled_report then begin
-    Format.eprintf "explore-json: COMPILED FAMILY SIM DIVERGES on %s@." name;
-    exit 1
-  end;
   let speedup = if family_wall > 0. then npass_wall /. family_wall else 1. in
-  let compiled_speedup =
-    if fam_compiled_wall > 0. then npass_wall /. fam_compiled_wall else 1.
-  in
-  ( npass_wall,
-    family_wall,
-    fam_compiled_wall,
-    speedup,
-    compiled_speedup,
-    List.length assignments )
+  (npass_wall, family_wall, speedup, List.length assignments)
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -835,12 +821,7 @@ let record_to_json ~timestamp ~label ~max_jobs ~metrics workload_rows =
            identical,
            (warm_wall, warm_cost, warm_explored),
            (sim_interp, sim_compiled, sim_compile, sim_speedup),
-           ( fam_npass,
-             fam_wall,
-             fam_compiled_wall,
-             fam_speedup,
-             fam_compiled_speedup,
-             fam_configs ) ) ->
+           (fam_npass, fam_wall, fam_speedup, fam_configs) ) ->
       add "      {\n";
       add "        \"name\": \"%s\",\n" (json_escape name);
       add "        \"processes\": %d,\n" processes;
@@ -879,15 +860,9 @@ let record_to_json ~timestamp ~label ~max_jobs ~metrics workload_rows =
          tolerated-extra field; per-configuration results are
          digest-checked identical before recording *)
       add
-        "        \"family\": {\"npass_wall_s\": %.6f, \"family_wall_s\": \
-         %.6f, \"configs\": %d, \"speedup\": %.3f},\n"
-        fam_npass fam_wall fam_configs fam_speedup;
-      (* the same featured pass on Sim.Family_compiled's flat tables,
-         against the same N-pass baseline; digest-checked identical *)
-      add
         "        \"family_compiled\": {\"npass_wall_s\": %.6f, \
          \"family_wall_s\": %.6f, \"configs\": %d, \"speedup\": %.3f},\n"
-        fam_npass fam_compiled_wall fam_configs fam_compiled_speedup;
+        fam_npass fam_wall fam_configs fam_speedup;
       add "        \"costs_identical\": %b\n" identical;
       add "      }%s\n" (if i = n - 1 then "" else ","))
     workload_rows;
@@ -1047,25 +1022,20 @@ let explore_json () =
         let (sim_interp, sim_compiled, _, sim_speedup) as sim =
           sim_measurement ~reps name system
         in
-        let ( fam_npass,
-              fam_wall,
-              fam_compiled_wall,
-              fam_speedup,
-              fam_compiled_speedup,
-              fam_configs ) as family =
+        let (fam_npass, fam_wall, fam_speedup, fam_configs) as family =
           family_measurement ~reps name system
         in
         Format.printf
           "%-20s | %2d procs | %2d apps | jobs=1 %8.4fs | jobs=%d %8.4fs | \
            speedup %.2fx | cost %s | sim %8.4fs -> %8.4fs (%.2fx) | family \
-           %d cfgs %8.4fs -> %8.4fs (%.2fx) -> compiled %8.4fs (%.2fx)@."
+           %d cfgs %8.4fs -> %8.4fs (%.2fx)@."
           name processes (List.length apps) (wall_of 1) max_jobs
           (wall_of max_jobs) speedup
           (match (List.hd runs).run_cost with
           | Some c -> string_of_int c
           | None -> "infeas")
           sim_interp sim_compiled sim_speedup fam_configs fam_npass fam_wall
-          fam_speedup fam_compiled_wall fam_compiled_speedup;
+          fam_speedup;
         ( name,
           processes,
           List.length apps,

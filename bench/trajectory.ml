@@ -7,7 +7,6 @@ type workload = {
   runs : run list;
   speedup : float;
   sim_speedup : float option;
-  family_speedup : float option;
   family_compiled_speedup : float option;
 }
 
@@ -56,17 +55,8 @@ let workload_of_json j =
   let* runs = map_result run_of_json runs_json in
   let* speedup = field "speedup_max_jobs" J.to_float j in
   let sim_speedup = optional_speedup "sim" j in
-  let family_speedup = optional_speedup "family" j in
   let family_compiled_speedup = optional_speedup "family_compiled" j in
-  Ok
-    {
-      w_name;
-      runs;
-      speedup;
-      sim_speedup;
-      family_speedup;
-      family_compiled_speedup;
-    }
+  Ok { w_name; runs; speedup; sim_speedup; family_compiled_speedup }
 
 let record_of_json j =
   let* schema = field "schema" J.to_string_opt j in
@@ -129,7 +119,7 @@ let mean_speedup get r =
     Some (List.fold_left ( +. ) 0. vs /. float_of_int (List.length vs))
 
 (* Per-field speedup gates (the "sim" compiled-vs-interpreted arm and
-   the "family" one-pass-vs-N-passes arm).  A field is compared only
+   the "family_compiled" one-pass-vs-N-passes arm).  A field is compared only
    when BOTH records carry it over the same workload set: a trajectory
    mixing records from before and after the field was introduced skips
    the gate instead of failing. *)
@@ -198,19 +188,13 @@ let check ?(tolerance = 0.3) ~baseline ~fresh () =
       ~get:(fun w -> w.sim_speedup)
       ~baseline ~fresh failures
   in
-  let family_summary =
-    field_gate ~tolerance ~field:"family"
-      ~get:(fun w -> w.family_speedup)
-      ~baseline ~fresh failures
-  in
   let family_compiled_summary =
     field_gate ~tolerance ~field:"family_compiled"
       ~get:(fun w -> w.family_compiled_speedup)
       ~baseline ~fresh failures
   in
   let summary =
-    Format.sprintf "%s; %s; %s; %s" summary sim_summary family_summary
-      family_compiled_summary
+    Format.sprintf "%s; %s; %s" summary sim_summary family_compiled_summary
   in
   match !failures with [] -> Ok summary | failures -> Error failures
 

@@ -15,14 +15,12 @@ type workload = {
   sim_speedup : float option;
       (** the ["sim"] object's compiled-vs-interpreted speedup; [None]
           for records written before the field existed *)
-  family_speedup : float option;
-      (** the ["family"] object's one-featured-pass vs N-per-config
-          passes speedup; [None] for records without it *)
   family_compiled_speedup : float option;
-      (** the ["family_compiled"] object's compiled-featured-pass vs
-          N-per-config passes speedup ({!Sim.Family_compiled} against
-          the same N-pass baseline as ["family"]); [None] for records
-          without it *)
+      (** the ["family_compiled"] object's one-featured-pass
+          ({!Sim.Family_compiled}) vs N-per-config-passes speedup;
+          [None] for records without it.  Older records may also carry
+          a ["family"] object for an engine since removed; it is
+          ignored. *)
 }
 
 type record = {
@@ -48,10 +46,10 @@ val check :
     - the fresh aggregate max-jobs speedup has regressed below
       [(1 - tolerance)] of the baseline's ([tolerance] defaults to
       [0.3], i.e. a 30% regression budget for machine noise), or
-    - a per-field speedup (["sim"], ["family"], ["family_compiled"])
-      regressed past the same budget — compared only when both records carry the field over the
-      same workload set, so mixed-version trajectories (records from
-      before the field existed) skip the gate rather than fail.
+    - a per-field speedup (["sim"], ["family_compiled"]) regressed past
+      the same budget — compared only when both records carry the field
+      over the same workload set, so mixed-version trajectories (records
+      from before the field existed) skip the gate rather than fail.
 
     [Ok summary] describes what was checked; [Error failures] lists
     every violated condition. *)

@@ -14,6 +14,7 @@ open Cmdliner
 module F1 = Paper.Figure1
 module F2 = Paper.Figure2
 module V = Variants
+module Fam = Sim.Family_compiled
 
 (* ------------------------------------------------------------------ *)
 (* Model registry.                                                     *)
@@ -471,17 +472,6 @@ let trace_buffered_flag =
           "Hold the whole timeline in memory and write $(b,--trace) once at \
            the end instead of streaming (the output bytes are identical)")
 
-let compiled_flag =
-  Arg.(
-    value & flag
-    & info [ "compiled" ]
-        ~doc:
-          "Simulate with the AOT-compiled engine (Sim.Compile): the model is \
-           specialized once into flat dispatch tables, then runs \
-           allocation-free.  Combined with $(b,--family), the featured pass \
-           itself runs compiled (Sim.Family_compiled).  Observationally \
-           identical to the interpreter either way")
-
 (* One handle regardless of export mode: [flush] after each run's emit
    (a no-op when buffered), [finish] once at the end. *)
 type trace_out = {
@@ -544,10 +534,10 @@ let family_flag =
     & info [ "family" ]
         ~doc:
           "Evaluate the whole variant space in one featured pass \
-           (Sim.Family): shared prefixes execute once, the run splits into \
-           sub-families only where configurations diverge, and every \
-           configuration's result is reported — identical to running each \
-           flattened configuration separately")
+           (Sim.Family_compiled): shared prefixes execute once, the run \
+           splits into sub-families only where configurations diverge, and \
+           every configuration's result is reported — identical to running \
+           each flattened configuration separately")
 
 let deadline_opt_arg =
   Arg.(
@@ -567,17 +557,17 @@ let outcome_label = function
    makespan (and headroom against a deadline), the deepest buffer any
    channel reached, and the configuration's assignment. *)
 let print_family_report ?deadline system report =
-  Format.printf "%a@." Sim.Family.pp_summary report;
-  let spans = Sim.Family.makespans report in
+  Format.printf "%a@." Fam.pp_summary report;
+  let spans = Fam.makespans report in
   Format.printf "@.%4s  %-9s %8s %9s %9s %8s  %s@." "cfg" "outcome" "firings"
     "makespan" "headroom" "buf-max" "assignment";
   Array.iteri
     (fun i cr ->
       let model =
         V.Flatten.flatten system
-          (V.Variant_space.to_choice cr.Sim.Family.assignment)
+          (V.Variant_space.to_choice cr.Fam.assignment)
       in
-      let stats = Sim.Stats.of_result model cr.Sim.Family.result in
+      let stats = Sim.Stats.of_result model cr.Fam.result in
       let makespan = snd spans.(i) in
       let headroom =
         match deadline with
@@ -590,19 +580,42 @@ let print_family_report ?deadline system report =
           0 stats.Sim.Stats.channels
       in
       Format.printf "%4d  %-9s %8d %9d %9s %8d  %a@." i
-        (outcome_label cr.Sim.Family.result.Sim.Engine.outcome)
-        cr.Sim.Family.result.Sim.Engine.firings makespan headroom buf_max
-        V.Variant_space.pp_assignment cr.Sim.Family.assignment)
-    report.Sim.Family.runs
+        (outcome_label cr.Fam.result.Sim.Engine.outcome)
+        cr.Fam.result.Sim.Engine.firings makespan headroom buf_max
+        V.Variant_space.pp_assignment cr.Fam.assignment)
+    report.Fam.runs
 
 let family_worst_code report =
   Array.fold_left
     (fun acc cr ->
-      max acc (exit_code_of_outcome cr.Sim.Family.result.Sim.Engine.outcome))
-    0 report.Sim.Family.runs
+      max acc (exit_code_of_outcome cr.Fam.result.Sim.Engine.outcome))
+    0 report.Fam.runs
+
+(* The tail every single-pass family verb shares: the per-configuration
+   table, optional traces and timeline, the metrics snapshot, and the
+   worst configuration's exit code. *)
+let finish_family ?deadline ~show_trace ~trace_path ~trace_buffered
+    ~metrics_path system report =
+  print_family_report ?deadline system report;
+  if show_trace then
+    Array.iter
+      (fun cr ->
+        Format.printf "@.--- trace of configuration %d (%a) ---@.%a@."
+          cr.Fam.index V.Variant_space.pp_assignment cr.Fam.assignment
+          Sim.Trace.pp cr.Fam.result.Sim.Engine.trace)
+      report.Fam.runs;
+  (match trace_out ~buffered:trace_buffered trace_path with
+  | None -> ()
+  | Some out ->
+    Fam.emit_timeline out.sink system report;
+    out.flush ();
+    out.finish ());
+  write_metrics metrics_path;
+  let code = family_worst_code report in
+  if code <> 0 then exit code
 
 let simulate_cmd =
-  let run_family bundled policy compiled jobs deadline show_trace trace_path
+  let run_family bundled policy jobs deadline show_trace trace_path
       trace_buffered metrics_path =
     match bundled.system with
     | None ->
@@ -615,53 +628,27 @@ let simulate_cmd =
       let stimuli = bundled.stimuli () in
       let jobs = resolve_jobs jobs in
       let report =
-        if compiled then
-          Sim.Family_compiled.run ~policy ~stimuli
-            ~firing_budget:bundled.budgets ~jobs
-            (Sim.Family_compiled.plan system)
-        else
-          Sim.Family.run ~policy ~stimuli ~firing_budget:bundled.budgets ~jobs
-            system
+        Fam.run ~policy ~stimuli ~firing_budget:bundled.budgets ~jobs
+          (Fam.plan system)
       in
-      Format.printf "%s — whole variant space in one featured pass%s@."
-        bundled.description
-        (if compiled then " [compiled]" else "");
-      print_family_report ?deadline system report;
-      if show_trace then
-        Array.iter
-          (fun cr ->
-            Format.printf "@.--- trace of configuration %d (%a) ---@.%a@."
-              cr.Sim.Family.index V.Variant_space.pp_assignment
-              cr.Sim.Family.assignment Sim.Trace.pp
-              cr.Sim.Family.result.Sim.Engine.trace)
-          report.Sim.Family.runs;
-      (match trace_out ~buffered:trace_buffered trace_path with
-      | None -> ()
-      | Some out ->
-        Sim.Family.emit_timeline out.sink system report;
-        out.flush ();
-        out.finish ());
-      write_metrics metrics_path;
-      let code = family_worst_code report in
-      if code <> 0 then exit code
+      Format.printf "%s — whole variant space in one featured pass@."
+        bundled.description;
+      finish_family ?deadline ~show_trace ~trace_path ~trace_buffered
+        ~metrics_path system report
   in
-  let run bundled policy compiled family jobs deadline show_trace vcd_path
-      trace_path trace_buffered span_capacity metrics_path =
+  let run bundled policy family jobs deadline show_trace vcd_path trace_path
+      trace_buffered span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if family then
-      run_family bundled policy compiled jobs deadline show_trace trace_path
+      run_family bundled policy jobs deadline show_trace trace_path
         trace_buffered metrics_path
     else begin
       let model = bundled.model () in
       let configurations = bundled.configurations () in
       let stimuli = bundled.stimuli () in
       let result =
-        if compiled then
-          Sim.Compile.run ~policy ~stimuli ~firing_budget:bundled.budgets
-            (Sim.Compile.compile ~configurations model)
-        else
-          Sim.Engine.run ~policy ~configurations ~stimuli
-            ~firing_budget:bundled.budgets model
+        Sim.Compile.run ~policy ~stimuli ~firing_budget:bundled.budgets
+          (Sim.Compile.compile ~configurations model)
       in
       Format.printf "%s@." bundled.description;
       Format.printf "%a@." Sim.Engine.pp_summary result;
@@ -692,8 +679,8 @@ let simulate_cmd =
           model's whole variant space in one featured pass and exit with \
           the worst configuration's code")
     Term.(
-      const run $ model_arg $ policy_arg $ compiled_flag $ family_flag
-      $ jobs_arg $ deadline_opt_arg $ print_trace_flag $ vcd_arg $ trace_arg
+      const run $ model_arg $ policy_arg $ family_flag $ jobs_arg
+      $ deadline_opt_arg $ print_trace_flag $ vcd_arg $ trace_arg
       $ trace_buffered_flag $ span_capacity_arg $ metrics_arg)
 
 let faultsim_cmd =
@@ -774,7 +761,7 @@ let faultsim_cmd =
     in
     Sim.Fault.plan ~channels ~processes ~seed ()
   in
-  let run_family model_name seeds no_faults compiled deadline drop transient
+  let run_family model_name seeds no_faults deadline drop transient
       trace_seed jobs trace_path trace_buffered metrics_path =
     let system =
       match List.assoc_opt model_name family_systems with
@@ -802,15 +789,12 @@ let faultsim_cmd =
                 }))
         (Spi.Ids.Channel_id.Set.elements (Spi.Model.unwritten_channels first))
     in
-    Format.printf "family fault campaign: %s, %d seeds%s%s@." model_name seeds
-      (if no_faults then " (faults disabled)" else "")
-      (if compiled then " [compiled]" else "");
-    (* with --compiled the variant space is lowered once and every
-       seed's featured pass reuses the plan (it is immutable, so the
-       domain pool shares it freely) *)
-    let plan =
-      if compiled then Some (Sim.Family_compiled.plan system) else None
-    in
+    Format.printf "family fault campaign: %s, %d seeds%s@." model_name seeds
+      (if no_faults then " (faults disabled)" else "");
+    (* the variant space is lowered once and every seed's featured pass
+       reuses the plan (it is thread-safe, so the domain pool shares it
+       freely) *)
+    let plan = Fam.plan system in
     Format.printf "%4s  %-9s %4s %6s %6s %8s %8s %5s@." "seed" "outcome" "cfgs"
       "splits" "subfam" "executed" "shared" "miss";
     let worst_code = ref 0 and total_miss = ref 0 in
@@ -822,11 +806,7 @@ let faultsim_cmd =
             else Some (family_fault_plan ~drop ~transient ~seed first)
           in
           let jobs = resolve_jobs jobs in
-          let report =
-            match plan with
-            | Some plan -> Sim.Family_compiled.run ~stimuli ?faults ~jobs plan
-            | None -> Sim.Family.run ~stimuli ?faults ~jobs system
-          in
+          let report = Fam.run ~stimuli ?faults ~jobs plan in
           (* headroom is computed once per leaf sub-family and fanned
              out to the leaf's members — a configuration misses the
              deadline when its headroom is negative *)
@@ -834,7 +814,7 @@ let faultsim_cmd =
             Array.fold_left
               (fun acc (_, h) -> if h < 0 then acc + 1 else acc)
               0
-              (Sim.Family.headroom ~deadline report)
+              (Fam.headroom ~deadline report)
           in
           let code = family_worst_code report in
           worst_code := max !worst_code code;
@@ -842,26 +822,26 @@ let faultsim_cmd =
           let worst_outcome =
             Array.fold_left
               (fun acc cr ->
-                let o = cr.Sim.Family.result.Sim.Engine.outcome in
+                let o = cr.Fam.result.Sim.Engine.outcome in
                 if exit_code_of_outcome o > exit_code_of_outcome acc then o
                 else acc)
-              Sim.Engine.Quiescent report.Sim.Family.runs
+              Sim.Engine.Quiescent report.Fam.runs
           in
           Format.printf "%4d  %-9s %4d %6d %6d %8d %8d %5d@." seed
             (outcome_label worst_outcome)
-            (Array.length report.Sim.Family.runs)
-            report.Sim.Family.splits report.Sim.Family.subfamilies
-            report.Sim.Family.executed_firings report.Sim.Family.shared_firings
+            (Array.length report.Fam.runs)
+            report.Fam.splits report.Fam.subfamilies
+            report.Fam.executed_firings report.Fam.shared_firings
             misses;
           if trace_seed = Some seed then
             Array.iter
               (fun cr ->
                 Format.printf
                   "@.--- seed %d, configuration %d (%a) ---@.%a@." seed
-                  cr.Sim.Family.index V.Variant_space.pp_assignment
-                  cr.Sim.Family.assignment Sim.Trace.pp
-                  cr.Sim.Family.result.Sim.Engine.trace)
-              report.Sim.Family.runs;
+                  cr.Fam.index V.Variant_space.pp_assignment
+                  cr.Fam.assignment Sim.Trace.pp
+                  cr.Fam.result.Sim.Engine.trace)
+              report.Fam.runs;
           (seed, report))
         (List.init seeds (fun i -> i + 1))
     in
@@ -870,7 +850,7 @@ let faultsim_cmd =
     (match reports with
     | [] -> ()
     | (_, r0) :: _ ->
-      let n = Array.length r0.Sim.Family.runs in
+      let n = Array.length r0.Fam.runs in
       let worst = Array.make n max_int in
       let missed = Array.make n 0 in
       List.iter
@@ -879,19 +859,19 @@ let faultsim_cmd =
             (fun (i, h) ->
               worst.(i) <- min worst.(i) h;
               if h < 0 then missed.(i) <- missed.(i) + 1)
-            (Sim.Family.headroom ~deadline report))
+            (Fam.headroom ~deadline report))
         reports;
       Format.printf "@.%4s %9s %6s  %s@." "cfg" "headroom" "missed" "assignment";
       Array.iteri
         (fun i cr ->
           Format.printf "%4d %9d %6d  %a@." i worst.(i) missed.(i)
-            V.Variant_space.pp_assignment cr.Sim.Family.assignment)
-        r0.Sim.Family.runs);
+            V.Variant_space.pp_assignment cr.Fam.assignment)
+        r0.Fam.runs);
     Format.printf
       "@.totals: %d deadline-misses across %d seeds x %d configurations@."
       !total_miss seeds
       (match reports with
-      | (_, r) :: _ -> Array.length r.Sim.Family.runs
+      | (_, r) :: _ -> Array.length r.Fam.runs
       | [] -> 0);
     (match trace_out ~buffered:trace_buffered trace_path with
     | None -> ()
@@ -901,7 +881,7 @@ let faultsim_cmd =
          selects it (default: first seed) *)
       let pick = Option.value trace_seed ~default:1 in
       (match List.assoc_opt pick reports with
-      | Some report -> Sim.Family.emit_timeline out.sink system report
+      | Some report -> Fam.emit_timeline out.sink system report
       | None -> ());
       out.flush ();
       out.finish ());
@@ -909,15 +889,15 @@ let faultsim_cmd =
     if !worst_code <> 0 then exit !worst_code
   in
   let run model_name seeds no_faults family deadline drop transient trace_seed
-      jobs compiled trace_path trace_buffered span_capacity metrics_path =
+      jobs trace_path trace_buffered span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if seeds < 1 then begin
       Format.eprintf "faultsim: --seeds must be positive@.";
       exit 1
     end;
     if family then
-      run_family model_name seeds no_faults compiled deadline drop transient
-        trace_seed jobs trace_path trace_buffered metrics_path
+      run_family model_name seeds no_faults deadline drop transient trace_seed
+        jobs trace_path trace_buffered metrics_path
     else
     let with_valves =
       match model_name with
@@ -938,19 +918,14 @@ let faultsim_cmd =
         ~switches:[ (52, "fB"); (120, "fA") ]
         ()
     in
-    Format.printf "fault campaign: %s, %d seeds%s%s@." model_name seeds
-      (if no_faults then " (faults disabled)" else "")
-      (if compiled then " [compiled]" else "");
-    (* With --compiled the model is specialized once and every seed's
-       run reuses the plan; the plan is immutable, so the domain pool
-       shares it freely. *)
+    Format.printf "fault campaign: %s, %d seeds%s@." model_name seeds
+      (if no_faults then " (faults disabled)" else "");
+    (* The model is specialized once and every seed's run reuses the
+       plan; the plan is immutable, so the domain pool shares it
+       freely. *)
     let plan =
-      if compiled then
-        Some
-          (Sim.Compile.compile
-             ~configurations:built.Video.System.configurations
-             built.Video.System.model)
-      else None
+      Sim.Compile.compile ~configurations:built.Video.System.configurations
+        built.Video.System.model
     in
     Format.printf "%4s  %-9s %7s %6s %5s %5s %4s %4s %4s %4s  %s@." "seed"
       "outcome" "firings" "faults" "degr" "clean" "held" "drop" "miss" "inv"
@@ -966,14 +941,7 @@ let faultsim_cmd =
             (Video.Scenario.fault_plan ~drop_probability:drop
                ~transient_probability:transient ~seed built)
       in
-      let result =
-        match plan with
-        | Some plan -> Sim.Compile.run ~stimuli ?faults plan
-        | None ->
-          Sim.Engine.run
-            ~configurations:built.Video.System.configurations
-            ~stimuli ?faults built.Video.System.model
-      in
+      let result = Sim.Compile.run ~stimuli ?faults plan in
       let report = Video.Checker.check result in
       let stats = Sim.Stats.of_result built.Video.System.model result in
       let misses =
@@ -1080,8 +1048,7 @@ let faultsim_cmd =
     Term.(
       const run $ model_name_arg $ seeds_arg $ no_faults_flag $ family_flag
       $ deadline_arg $ drop_arg $ transient_arg $ trace_seed_arg $ jobs_arg
-      $ compiled_flag $ trace_arg $ trace_buffered_flag $ span_capacity_arg
-      $ metrics_arg)
+      $ trace_arg $ trace_buffered_flag $ span_capacity_arg $ metrics_arg)
 
 let simulate_file_cmd =
   let variant_arg =
@@ -1107,9 +1074,8 @@ let simulate_file_cmd =
       value & opt (some string) None
       & info [ "csv" ] ~docv:"FILE" ~doc:"Write the trace as CSV to $(docv)")
   in
-  let run path variants drive policy compiled family jobs deadline show_trace
-      vcd_path json_path csv_path trace_path trace_buffered span_capacity
-      metrics_path =
+  let run path variants drive policy family jobs deadline show_trace vcd_path
+      json_path csv_path trace_path trace_buffered span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if family && (vcd_path <> None || json_path <> None || csv_path <> None)
     then begin
@@ -1151,30 +1117,10 @@ let simulate_file_cmd =
                  (Spi.Model.unwritten_channels first))
           in
           let report =
-            if compiled then
-              Sim.Family_compiled.run ~policy ~stimuli
-                ~jobs:(resolve_jobs jobs)
-                (Sim.Family_compiled.plan system)
-            else Sim.Family.run ~policy ~stimuli ~jobs:(resolve_jobs jobs) system
+            Fam.run ~policy ~stimuli ~jobs:(resolve_jobs jobs) (Fam.plan system)
           in
-          print_family_report ?deadline system report;
-          if show_trace then
-            Array.iter
-              (fun cr ->
-                Format.printf "@.--- trace of configuration %d (%a) ---@.%a@."
-                  cr.Sim.Family.index V.Variant_space.pp_assignment
-                  cr.Sim.Family.assignment Sim.Trace.pp
-                  cr.Sim.Family.result.Sim.Engine.trace)
-              report.Sim.Family.runs;
-          (match trace_out ~buffered:trace_buffered trace_path with
-          | None -> ()
-          | Some out ->
-            Sim.Family.emit_timeline out.sink system report;
-            out.flush ();
-            out.finish ());
-          write_metrics metrics_path;
-          let code = family_worst_code report in
-          if code <> 0 then exit code
+          finish_family ?deadline ~show_trace ~trace_path ~trace_buffered
+            ~metrics_path system report
         end
         else
         let choice iid =
@@ -1204,9 +1150,7 @@ let simulate_file_cmd =
             (Spi.Ids.Channel_id.Set.elements inputs)
         in
         let result =
-          if compiled then
-            Sim.Compile.run ~policy ~stimuli (Sim.Compile.compile model)
-          else Sim.Engine.run ~policy ~stimuli model
+          Sim.Compile.run ~policy ~stimuli (Sim.Compile.compile model)
         in
         Format.printf "%a@." Sim.Engine.pp_summary result;
         Format.printf "@.%a@." Sim.Stats.pp (Sim.Stats.of_result model result);
@@ -1232,10 +1176,10 @@ let simulate_file_cmd =
           limit); with $(b,--family), simulate the file's whole variant \
           space in one featured pass")
     Term.(
-      const run $ file_arg $ variant_arg $ drive_arg $ policy_arg
-      $ compiled_flag $ family_flag $ jobs_arg $ deadline_opt_arg
-      $ print_trace_flag $ vcd_arg $ json_arg $ csv_arg $ trace_arg
-      $ trace_buffered_flag $ span_capacity_arg $ metrics_arg)
+      const run $ file_arg $ variant_arg $ drive_arg $ policy_arg $ family_flag
+      $ jobs_arg $ deadline_opt_arg $ print_trace_flag $ vcd_arg $ json_arg
+      $ csv_arg $ trace_arg $ trace_buffered_flag $ span_capacity_arg
+      $ metrics_arg)
 
 let analyze_cmd =
   let run bundled =
@@ -1308,7 +1252,7 @@ let dot_system_cmd =
     Term.(const run $ name_arg)
 
 let synthesize_cmd =
-  let run jobs compiled trace_path trace_buffered span_capacity metrics_path =
+  let run jobs trace_path trace_buffered span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if Option.is_some trace_path then Synth.Domain_trace.enable ();
     let jobs = resolve_jobs jobs in
@@ -1347,11 +1291,7 @@ let synthesize_cmd =
                 token = Spi.Token.make ~payload:(i + 1) ();
               })
         in
-        let result =
-          if compiled then
-            Sim.Compile.run ~stimuli (Sim.Compile.compile model)
-          else Sim.Engine.run ~stimuli model
-        in
+        let result = Sim.Compile.run ~stimuli (Sim.Compile.compile model) in
         Format.printf "sim check %-6s %a@." cluster Sim.Engine.pp_summary
           result;
         match out with
@@ -1371,8 +1311,8 @@ let synthesize_cmd =
          "Run the Table 1 synthesis flows and simulate each application's \
           flattened model as a sanity check")
     Term.(
-      const run $ jobs_arg $ compiled_flag $ trace_arg $ trace_buffered_flag
-      $ span_capacity_arg $ metrics_arg)
+      const run $ jobs_arg $ trace_arg $ trace_buffered_flag $ span_capacity_arg
+      $ metrics_arg)
 
 let schedule_cmd =
   let run () =
@@ -1723,8 +1663,8 @@ let request_cmd =
       Format.eprintf "request: missing %s@." what;
       exit 2
   in
-  let run socket op model tech capacity until compiled family count
-      deadline_ms id timeout_s attempts seed jobs trace =
+  let run socket op model tech capacity until family count deadline_ms id
+      timeout_s attempts seed jobs trace =
     let synthesize () =
       Serve.Protocol.Synthesize
         {
@@ -1752,7 +1692,7 @@ let request_cmd =
           {
             model = read_file (need "--file MODEL" model);
             until;
-            compiled;
+            compiled = false;
             family;
           }
       | `Batch ->
@@ -1792,7 +1732,7 @@ let request_cmd =
           retries and an idempotency key")
     Term.(
       const run $ socket_arg $ op_arg $ model_arg $ tech_arg $ capacity_arg
-      $ until_arg $ compiled_flag $ family_flag $ count_arg $ deadline_arg
+      $ until_arg $ family_flag $ count_arg $ deadline_arg
       $ id_arg $ timeout_arg $ attempts_arg $ seed_arg $ jobs_req_arg
       $ trace_spans_flag)
 

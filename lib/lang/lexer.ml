@@ -73,7 +73,9 @@ let tokenize input =
       while !i < n && is_digit input.[!i] do
         advance ()
       done;
-      emit (INT (int_of_string (String.sub input start (!i - start)))) l cl
+      match int_of_string_opt (String.sub input start (!i - start)) with
+      | Some v -> emit (INT v) l cl
+      | None -> error l cl "integer literal out of range"
     end
     else
       match c with

@@ -229,46 +229,41 @@ let outcome_json (r : Sim.Engine.result) =
 
 (* One featured pass over the whole variant space.  The response keeps
    the per-configuration shape of the flat path (one entry per run) and
-   adds the sharing summary; [compiled] picks the engine, results are
-   identical either way. *)
-let simulate_family t ~id ~jobs ~limits ~compiled system =
-  match
-    if compiled then
-      Sim.Family_compiled.run ~limits ~jobs (family_plan_for t system)
-    else Sim.Family.run ~limits ~jobs system
-  with
+   adds the sharing summary. *)
+let simulate_family t ~id ~jobs ~limits system =
+  let module F = Sim.Family_compiled in
+  match F.run ~limits ~jobs (family_plan_for t system) with
   | exception Invalid_argument m -> (P.error ?id m, [])
   | report ->
     let runs =
-      Array.to_list report.Sim.Family.runs
-      |> List.map (fun (cr : Sim.Family.config_run) ->
+      Array.to_list report.F.runs
+      |> List.map (fun (cr : F.config_run) ->
              J.Obj
                [
-                 ("configuration", J.Int cr.Sim.Family.index);
+                 ("configuration", J.Int cr.F.index);
                  ( "assignment",
                    J.String
                      (Format.asprintf "%a" V.Variant_space.pp_assignment
-                        cr.Sim.Family.assignment) );
-                 ("end_time", J.Int cr.Sim.Family.result.Sim.Engine.end_time);
-                 ("firings", J.Int cr.Sim.Family.result.Sim.Engine.firings);
-                 ("outcome", outcome_json cr.Sim.Family.result);
+                        cr.F.assignment) );
+                 ("end_time", J.Int cr.F.result.Sim.Engine.end_time);
+                 ("firings", J.Int cr.F.result.Sim.Engine.firings);
+                 ("outcome", outcome_json cr.F.result);
                ])
     in
     ( P.ok ?id
         [
           ("op", J.String "simulate");
-          ("compiled", J.Bool compiled);
           ("family", J.Bool true);
-          ("configurations", J.Int (Array.length report.Sim.Family.runs));
-          ("splits", J.Int report.Sim.Family.splits);
-          ("subfamilies", J.Int report.Sim.Family.subfamilies);
-          ("executed_firings", J.Int report.Sim.Family.executed_firings);
-          ("shared_firings", J.Int report.Sim.Family.shared_firings);
+          ("configurations", J.Int (Array.length report.F.runs));
+          ("splits", J.Int report.F.splits);
+          ("subfamilies", J.Int report.F.subfamilies);
+          ("executed_firings", J.Int report.F.executed_firings);
+          ("shared_firings", J.Int report.F.shared_firings);
           ("runs", J.List runs);
         ],
       [] )
 
-let simulate t ~id ~jobs ~model ~until ~compiled ~family =
+let simulate t ~id ~jobs ~model ~until ~family =
   match load_system model with
   | Error e -> (P.error ?id e, [])
   | Ok system when family ->
@@ -277,7 +272,7 @@ let simulate t ~id ~jobs ~model ~until ~compiled ~family =
       | None -> Sim.Engine.default_limits
       | Some max_time -> { Sim.Engine.default_limits with max_time }
     in
-    simulate_family t ~id ~jobs ~limits ~compiled system
+    simulate_family t ~id ~jobs ~limits system
   | Ok system -> (
     match V.Flatten.applications system with
     | exception Invalid_argument m -> (P.error ?id m, [])
@@ -294,10 +289,7 @@ let simulate t ~id ~jobs ~model ~until ~compiled ~family =
               String.concat "+"
                 (List.map Spi.Ids.Cluster_id.to_string clusters)
             in
-            let r =
-              if compiled then Sim.Compile.run ~limits (plan_for t model)
-              else Sim.Engine.run ~limits model
-            in
+            let r = Sim.Compile.run ~limits (plan_for t model) in
             J.Obj
               [
                 ("application", J.String name);
@@ -308,11 +300,7 @@ let simulate t ~id ~jobs ~model ~until ~compiled ~family =
           models
       in
       ( P.ok ?id
-          [
-            ("op", J.String "simulate");
-            ("compiled", J.Bool compiled);
-            ("runs", J.List runs);
-          ],
+          [ ("op", J.String "simulate"); ("runs", J.List runs) ],
         [] ))
 
 (* -- dispatch ---------------------------------------------------------- *)
@@ -327,7 +315,15 @@ let deadline_of t ~admitted_ns (r : P.request) =
 let rec run_op t ~admitted_ns ~queue_depth ~jobs (r : P.request) =
   let id = r.P.id in
   let deadline_ns = deadline_of t ~admitted_ns r in
-  let jobs = match r.P.jobs with Some j when j > 0 -> j | Some _ | None -> jobs in
+  (* a client override may shrink the pool or grow it up to what the
+     machine offers, never past both the daemon's --jobs and the
+     hardware: an unbounded domain count stalls the single-threaded
+     accept loop for every other client *)
+  let jobs =
+    match r.P.jobs with
+    | Some j when j > 0 -> min j (max t.jobs (Synth.Par.available_jobs ()))
+    | Some _ | None -> jobs
+  in
   match r.P.op with
   | P.Ping -> (P.ok ?id [ ("op", J.String "ping") ], [])
   | P.Metrics ->
@@ -363,8 +359,8 @@ let rec run_op t ~admitted_ns ~queue_depth ~jobs (r : P.request) =
     synthesize t ~deadline_ns ~jobs ~id ~model ~tech ~capacity
   | P.Pareto { model; tech; capacity } ->
     pareto ~jobs ~id ~model ~tech ~capacity
-  | P.Simulate { model; until; compiled; family } ->
-    simulate t ~id ~jobs ~model ~until ~compiled ~family
+  | P.Simulate { model; until; family; compiled = _ } ->
+    simulate t ~id ~jobs ~model ~until ~family
   | P.Batch items ->
     (* fan the items out on the pool, one domain each; the store stays
        read-only until the joined commits run below *)

@@ -22,14 +22,11 @@ type op =
       compiled : bool;
       family : bool;
     }
-      (** [compiled] (default [false] on the wire) simulates with
-          {!Sim.Compile} plans cached daemon-side by
-          {!Sim.Compile.plan_key} — identical results, amortized
-          specialization across requests for the same model.  [family]
-          (default [false]) covers the whole variant space in one
-          featured pass ({!Sim.Family}); with [compiled] it runs on
-          {!Sim.Family_compiled} plans cached by
-          {!Sim.Family_compiled.plan_key} *)
+      (** [family] (default [false]) covers the whole variant space in
+          one featured pass on {!Sim.Family_compiled} plans; flat runs
+          use {!Sim.Compile} plans.  Both are cached daemon-side by
+          their plan keys.  [compiled] is a legacy wire field: parsed,
+          re-encoded, and ignored by the handler. *)
   | Batch of request list
       (** sub-requests run on the work-stealing pool; nesting depth 1 *)
 

@@ -6,7 +6,7 @@
     guards compiled over dense channel indexes, and an int-coded event
     scheme for the flat {!Heap.Int_heap}.  Keeping them here guarantees
     the two engines agree byte-for-byte on channel and event semantics —
-    the four-way differential harness in [test/test_family_compiled.ml]
+    the three-way differential harness in [test/test_family_compiled.ml]
     leans on that. *)
 
 (** {1 Channel state} *)

@@ -8,7 +8,12 @@
     reconfiguration latency is added to that execution and the switch is
     recorded in the trace — the higher-level view of Section 4 ("the
     reconfiguration latency is simply added to the process execution
-    latency"). *)
+    latency").
+
+    This interpreter is the readable reference semantics.  The CLI and
+    the serve daemon run the compiled engines instead ({!Compile} for
+    one configuration, {!Family_compiled} for a whole variant space);
+    the differential test harnesses hold both to [run]'s results. *)
 
 (** How interval parameters are resolved to concrete values. *)
 type policy =

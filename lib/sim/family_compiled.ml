@@ -2,14 +2,84 @@ module I = Spi.Ids
 module P = Variants.Presence
 open Crt
 
+type config_run = {
+  index : int;
+  assignment : Variants.Variant_space.assignment;
+  result : Engine.result;
+}
+
+type leaf = { leaf_members : int list; leaf_makespan : int }
+
+type report = {
+  runs : config_run array;
+  splits : int;
+  subfamilies : int;
+  executed_firings : int;
+  shared_firings : int;
+  leaves : leaf array;
+}
+
+(* End time of the last completion in a trace (0 when nothing
+   completed). *)
+let makespan_of_trace trace =
+  List.fold_left
+    (fun acc entry ->
+      match entry with Trace.Completed { time; _ } -> max acc time | _ -> acc)
+    0 trace
+
+(* ------------------------------------------------------------------ *)
+(* Site prefixes.                                                      *)
+(*                                                                     *)
+(* [Flatten.flatten] names every element instantiated for a site        *)
+(* "<site>.…" (nested prefixes compose), so the string prefix is how    *)
+(* the engine attributes state to a still-unresolved ("cold") site:     *)
+(* cold-prefixed processes must not fire and cold-prefixed channels     *)
+(* still hold their initial tokens in every member's run.              *)
+(* ------------------------------------------------------------------ *)
+
+let prefix_of site = I.Interface_id.to_string site ^ "."
+
+let has_prefix id pfx =
+  String.length id >= String.length pfx
+  && String.sub id 0 (String.length pfx) = pfx
+
+let cold_site_of cold id =
+  List.find_opt (fun site -> has_prefix id (prefix_of site)) cold
+
+let validate_prefixes system sites =
+  let prefixes = List.map prefix_of sites in
+  List.iteri
+    (fun i p ->
+      List.iteri
+        (fun j q ->
+          if i <> j && has_prefix q p then
+            invalid_arg
+              (Printf.sprintf
+                 "Family_compiled.plan: site prefix %S extends site prefix %S"
+                 q p))
+        prefixes)
+    prefixes;
+  let check_shared what id =
+    if List.exists (has_prefix id) prefixes then
+      invalid_arg
+        (Printf.sprintf
+           "Family_compiled.plan: shared %s id %S collides with a site prefix"
+           what id)
+  in
+  List.iter
+    (fun p -> check_shared "process" (I.Process_id.to_string (Spi.Process.id p)))
+    (Variants.System.processes system);
+  List.iter
+    (fun c -> check_shared "channel" (I.Channel_id.to_string (Spi.Chan.id c)))
+    (Variants.System.channels system)
+
 (* ------------------------------------------------------------------ *)
 (* Compiled per-representative tables.                                 *)
 (*                                                                     *)
 (* A sub-family executes on its representative configuration's         *)
-(* flattened model, exactly like the interpreted {!Family} engine —     *)
-(* but here the model is lowered to {!Compile}-style flat int tables    *)
-(* (no configuration dispatch: family runs reject degradation plans,   *)
-(* so modes never carry masks and firings never reconfigure).          *)
+(* flattened model, lowered to {!Compile}-style flat int tables (no    *)
+(* configuration dispatch: family runs reject degradation plans, so    *)
+(* modes never carry masks and firings never reconfigure).             *)
 (* ------------------------------------------------------------------ *)
 
 type fmode = {
@@ -54,9 +124,7 @@ type plan = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Observability: the family counters are shared with {!Family} (the   *)
-(* registry deduplicates by name), so dashboards see one family        *)
-(* workload whichever engine ran it.                                   *)
+(* Observability.                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let m_runs = Obs.Registry.counter "sim.family.runs"
@@ -66,7 +134,6 @@ let m_subfamilies = Obs.Registry.counter "sim.family.subfamilies"
 let m_shared_firings = Obs.Registry.counter "sim.family.shared_firings"
 let m_configs_per_firing = Obs.Registry.histogram "sim.family.configs_per_firing"
 let m_plans = Obs.Registry.counter "sim.family.compiles"
-let m_compiled_runs = Obs.Registry.counter "sim.family.compiled_runs"
 
 (* ------------------------------- plan ------------------------------- *)
 
@@ -89,7 +156,7 @@ let plan ?(linkage = []) system =
   let space = P.space ~linkage system in
   let n = P.size space in
   let sites = P.sites space in
-  Family.validate_prefixes system sites;
+  validate_prefixes system sites;
   Obs.Metric.incr m_plans;
   {
     p_system = system;
@@ -301,7 +368,7 @@ type stats = {
   mutable subfamilies : int;
   mutable executed : int;
   mutable shared : int;
-  mutable leaves : Family.leaf list;
+  mutable leaves : leaf list;
 }
 
 let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
@@ -379,7 +446,7 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
     Array.map
       (fun fp ->
         Option.is_some
-          (Family.cold_site_of cold (I.Process_id.to_string fp.fp_pid)))
+          (cold_site_of cold (I.Process_id.to_string fp.fp_pid)))
       entry.ce_procs
   in
   (* Injection and crash pools are shared by every sub-family and
@@ -444,7 +511,7 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
   let hotspots_of c =
     List.map
       (fun site ->
-        let pfx = Family.prefix_of site in
+        let pfx = prefix_of site in
         let parts = P.partition_at space c.members site in
         {
           hs_site = site;
@@ -458,7 +525,7 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
                 let procs =
                   List.filter
                     (fun p ->
-                      Family.has_prefix
+                      has_prefix
                         (I.Process_id.to_string (Spi.Process.id p))
                         pfx
                       && budget_of_proc p <> 0)
@@ -470,13 +537,13 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
       c.cold
   in
   (* Would any variant of the part's configurations start a site process
-     right now?  Same probe as the interpreted engine's [site_hot]:
-     cold-owned (and not warm) channels read the part representative's
-     initial state, everything else reads the live rings. *)
+     right now?  Cold-owned (and not warm) channels read the part
+     representative's initial state — per-member exact, since nothing
+     has touched them — and everything else reads the live rings. *)
   let part_hot c hp =
     let cold_owned cid =
       (not (I.Channel_id.Set.mem cid c.warm))
-      && Option.is_some (Family.cold_site_of c.cold (I.Channel_id.to_string cid))
+      && Option.is_some (cold_site_of c.cold (I.Channel_id.to_string cid))
     in
     let view =
       {
@@ -505,13 +572,14 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
         && Spi.Activation.enabled view (Spi.Process.activation p) <> [])
       hp.hp_procs
   in
-  (* Fork [c] at [site], mirroring {!Family}'s [split] on the compiled
-     representation.  [c] keeps the first part; every other part gets a
-     fresh sub on its own representative's tables with the shared
-     execution transplanted in. *)
+  (* Fork [c] at [site]: one part per cluster the members select there.
+     [c] keeps the first part; every other part gets a fresh sub on its
+     own representative's tables with the shared execution transplanted
+     in — channels of sites cold until this split keep their initial
+     tokens, everything else carries the shared history. *)
   let split stats offer ~sibling_start c site =
     let old_cold = c.cold in
-    let is_old_cold id = Option.is_some (Family.cold_site_of old_cold id) in
+    let is_old_cold id = Option.is_some (cold_site_of old_cold id) in
     let keeps_initial cid =
       (not (I.Channel_id.Set.mem cid c.warm))
       && is_old_cold (I.Channel_id.to_string cid)
@@ -786,10 +854,9 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
       end
     done
   in
-  (* Same narrowing test as the interpreted engine: every member must
-     declare the target channel with identical kind, capacity and
-     initial contents; checking one model per subtree-choice part covers
-     every member. *)
+  (* Narrowing test: every member must declare the target channel with
+     identical kind, capacity and initial contents; checking one model
+     per subtree-choice part covers every member. *)
   let narrowable c site cid =
     let decl_of part =
       let rep_b = match P.first part with Some i -> i | None -> assert false in
@@ -826,7 +893,7 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
   let rec handle_inject stats offer c time cid tok =
     let cold_target =
       if I.Channel_id.Set.mem cid c.warm then None
-      else Family.cold_site_of c.cold (I.Channel_id.to_string cid)
+      else cold_site_of c.cold (I.Channel_id.to_string cid)
     in
     match cold_target with
     | Some site when narrow && narrowable c site cid ->
@@ -930,18 +997,13 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
     let trace = List.rev c.trace in
     let is_cold cid =
       (not (I.Channel_id.Set.mem cid c.warm))
-      && Option.is_some (Family.cold_site_of c.cold (I.Channel_id.to_string cid))
-    in
-    let makespan =
-      List.fold_left
-        (fun acc entry ->
-          match entry with
-          | Trace.Completed { time; _ } -> max acc time
-          | _ -> acc)
-        0 c.trace
+      && Option.is_some (cold_site_of c.cold (I.Channel_id.to_string cid))
     in
     stats.leaves <-
-      { Family.leaf_members = P.indices c.members; leaf_makespan = makespan }
+      {
+        leaf_members = P.indices c.members;
+        leaf_makespan = makespan_of_trace c.trace;
+      }
       :: stats.leaves;
     let live_contents cid =
       match I.Channel_id.Tbl.find_opt c.entry.ce_chan_index cid with
@@ -977,8 +1039,7 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
       c.members
   in
   (* The event loop: {!Compile}'s closure-free dispatch with the
-     presence probe wedged in front of every sweep, exactly where the
-     interpreted engine runs it. *)
+     presence probe wedged in front of every sweep. *)
   let exec stats offer { sub = c; start } =
     (match start with
     | Sweep -> ()
@@ -1042,33 +1103,66 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
     Array.init n (fun i ->
         match results.(i) with
         | Some result ->
-          { Family.index = i; assignment = P.assignment space i; result }
+          { index = i; assignment = P.assignment space i; result }
         | None ->
           (* unreachable: the leaves partition the full space *)
           invalid_arg "Family_compiled.run: configuration left unfinished")
   in
   Obs.Metric.incr m_runs;
-  Obs.Metric.incr m_compiled_runs;
   Obs.Metric.add m_configs n;
   Obs.Metric.add m_splits totals.splits;
   Obs.Metric.add m_subfamilies totals.subfamilies;
   Obs.Metric.add m_shared_firings totals.shared;
-  Obs.Registry.record_span ~name:"sim.family.compiled_run_ns" ~start_ns
+  Obs.Registry.record_span ~name:"sim.family.run_ns" ~start_ns
     ~dur_ns:(Obs.Clock.elapsed_ns start_ns);
   let leaves =
     Array.of_list
       (List.sort
-         (fun a b ->
-           compare
-             (List.hd a.Family.leaf_members)
-             (List.hd b.Family.leaf_members))
+         (fun a b -> compare (List.hd a.leaf_members) (List.hd b.leaf_members))
          totals.leaves)
   in
   {
-    Family.runs;
+    runs;
     splits = totals.splits;
     subfamilies = totals.subfamilies;
     executed_firings = totals.executed;
     shared_firings = totals.shared;
     leaves;
   }
+
+let makespans report =
+  Array.map (fun cr -> (cr.index, makespan_of_trace cr.result.Engine.trace))
+    report.runs
+
+let headroom ~deadline report =
+  let out = Array.make (Array.length report.runs) 0 in
+  Array.iter
+    (fun leaf ->
+      let h = deadline - leaf.leaf_makespan in
+      List.iter (fun i -> out.(i) <- h) leaf.leaf_members)
+    report.leaves;
+  Array.mapi (fun i h -> (i, h)) out
+
+let emit_timeline sink system report =
+  Array.iter
+    (fun cr ->
+      let model =
+        Variants.Flatten.flatten system
+          (Variants.Variant_space.to_choice cr.assignment)
+      in
+      let name =
+        Format.asprintf "cfg %d: %a" cr.index
+          Variants.Variant_space.pp_assignment cr.assignment
+      in
+      Timeline.emit ~pid:(cr.index + 1) ~name sink model cr.result)
+    report.runs
+
+let pp_summary ppf r =
+  let per_config_firings =
+    Array.fold_left (fun acc cr -> acc + cr.result.Engine.firings) 0 r.runs
+  in
+  Format.fprintf ppf
+    "configs=%d subfamilies=%d splits=%d executed=%d shared=%d (vs %d \
+     per-config firings)"
+    (Array.length r.runs) r.subfamilies r.splits r.executed_firings
+    r.shared_firings per_config_firings

@@ -1,23 +1,77 @@
-(** Compiled family-based simulation.
+(** Family-based ("featured") simulation of a variant space.
 
-    The interpreted {!Family} engine executes each sub-family through
-    {!Spi.Semantics} — persistent-map channel states, closure-based
-    guard checks, list scans per event.  This module runs the same
-    algorithm on {!Compile}-style flat tables (shared with that engine
-    through {!Crt}): dense channel indexes into ring buffers, compiled
-    guards, an int-coded {!Heap.Int_heap} event loop, and the
-    presence-condition bookkeeping (split detection, fork transplants,
-    narrowing) hoisted out of the hot path.
+    {!Engine.run} evaluates one flattened configuration at a time, so
+    covering a system's whole variant space costs
+    O(configurations x scenario).  This module lifts the simulation over
+    the space: one run starts from a single {e sub-family} covering
+    every configuration (a presence condition over
+    {!Variants.Presence}), executes work shared by all members once, and
+    splits into smaller sub-families only at the first event where the
+    members' behaviors can diverge — when a variant of a still-inactive
+    site could activate, or when the environment injects into a site's
+    internals.  Configurations whose distinguishing clusters never
+    activate under the scenario are never split apart: the run covers
+    them all with one execution.
 
-    The contract is unchanged and engine-independent: the report is a
-    {!Family.report}, and every configuration's result is byte-identical
-    to what {!Engine.run}, {!Compile.run} and interpreted {!Family.run}
-    produce for it — the four-way differential harness in
-    [test/test_family_compiled.ml] enforces this across generated
-    systems, fault plans, seeds, job counts and split policies.
+    Each sub-family executes on its representative configuration's
+    flattened model lowered to {!Compile}-style flat tables (shared with
+    that engine through {!Crt}): dense channel indexes into ring
+    buffers, compiled guards, an int-coded {!Heap.Int_heap} event loop,
+    and the presence-condition bookkeeping (split detection, fork
+    transplants, narrowing) hoisted out of the hot path.
 
-    Like {!Family.run}, degradation plans are rejected and shared ids
-    must not collide with site prefixes ([Invalid_argument]). *)
+    The per-configuration results are {e exactly} the results
+    per-configuration {!Engine.run}s (and {!Compile.run}s) would produce
+    on the flattened models — trace entry for entry, final channel
+    contents, outcome, firing counts and the fault-plan RNG stream
+    included.  The differential harness in [test/test_family_compiled.ml]
+    enforces this structurally and at rendered-byte level across
+    generated systems, fault plans, seeds, job counts and split
+    policies; docs/FAMILY.md states the proof obligation.
+
+    Restrictions (checked, [Invalid_argument]):
+    - shared element ids must not collide with any site's ["<site>."]
+      prefix, and no site prefix may extend another's — the prefixes are
+      how the engine attributes state to sites;
+    - fault plans must not carry a degradation policy: flattened
+      per-configuration models have no {!Variants.Configuration.t}s to
+      fall back to, so a degrading family run would have no
+      per-configuration reference. *)
+
+type config_run = {
+  index : int;  (** position in {!Variants.Variant_space.enumerate} order *)
+  assignment : Variants.Variant_space.assignment;
+  result : Engine.result;
+      (** identical to [Engine.run] on this configuration's flattened
+          model under the same scenario *)
+}
+
+type leaf = {
+  leaf_members : int list;
+      (** configuration indices the leaf covers, ascending *)
+  leaf_makespan : int;
+      (** end time of the leaf's last completion (0 when nothing
+          completed) — the same number for every member, computed once
+          from the shared trace *)
+}
+(** A sub-family that ran to its outcome. *)
+
+type report = {
+  runs : config_run array;  (** one per configuration, in index order *)
+  splits : int;  (** sub-family forks taken *)
+  subfamilies : int;  (** leaves: distinct executions that finished *)
+  executed_firings : int;
+      (** firings the family engine actually performed, summed over all
+          sub-families *)
+  shared_firings : int;
+      (** of those, firings performed while covering two or more
+          configurations — the work a per-configuration sweep would have
+          repeated *)
+  leaves : leaf array;
+      (** the finished sub-families, ordered by smallest member index
+          (independent of [jobs]); their member lists partition the
+          configuration indices *)
+}
 
 type plan
 (** Compiled variant space: presence space, site list, and
@@ -29,7 +83,7 @@ val plan : ?linkage:Variants.Variant_space.linkage -> Variants.System.t -> plan
 (** Lowers the system's variant space for family execution.  Site
     prefixes are validated here, once, rather than per run.
 
-    @raise Invalid_argument on prefix collisions (see {!Family.run}). *)
+    @raise Invalid_argument on prefix collisions (see above). *)
 
 val plan_key : ?linkage:Variants.Variant_space.linkage -> Variants.System.t -> string
 (** The key {!plan} would assign, without compiling — hex digest over
@@ -52,16 +106,56 @@ val run :
   ?jobs:int ->
   ?split:[ `Narrow | `Full ] ->
   plan ->
-  Family.report
-(** Simulates every configuration in one featured pass on the compiled
-    tables.  Parameters have {!Family.run}'s semantics exactly,
-    including [`Narrow] split narrowing (the default) and [jobs]-way
-    work stealing over {!Synth.Par}; results are identical for every
-    job count and split policy.
+  report
+(** Simulates every configuration of the plan's variant space in one
+    featured pass.  The scenario parameters have {!Engine.run}'s
+    semantics and apply uniformly to every configuration; stimuli may
+    target shared (unprefixed) channels or a site's internals.
 
-    Shares the [sim.family.*] metrics with the interpreted engine and
-    additionally bumps [sim.family.compiled_runs] and records the
-    [sim.family.compiled_run_ns] span.
+    [split] picks the policy for a stimulus aimed inside a still-cold
+    site.  [`Full] forces the site's sub-families apart at injection
+    time.  [`Narrow] (the default) first checks whether every member
+    declares the target channel identically (kind, capacity, initial
+    tokens): if so the channel is marked {e warm} and the write is
+    carried live by the whole sub-family — the split happens later, and
+    only if one of the site's variants actually activates.  Narrow
+    splitting never forks more sub-families than full splitting, and the
+    per-configuration results are identical under both policies.
+
+    [jobs] (default 1) runs sub-families as steal-able tasks on the
+    {!Synth.Par} work-stealing domain pool: each split offers the new
+    sub-families to idle domains, so a heavily-splitting space fans out.
+    Results are identical for every job count.
+
+    Registers [sim.family.*] metrics: [runs], [configs], [splits],
+    [subfamilies], [shared_firings], [compiles] (plans built), the
+    [configs_per_firing] histogram and the [sim.family.run_ns] span.
 
     @raise Invalid_argument on degradation plans; exceptions a
-    per-configuration run would raise propagate unchanged. *)
+    per-configuration run would raise ({!Spi.Semantics.Channel_overflow},
+    [Not_found] on stimuli naming channels absent from a member's model)
+    propagate unchanged. *)
+
+val makespans : report -> (int * int) array
+(** [(index, makespan)] per configuration — the end time of the last
+    completion in its trace (0 when nothing completed).  The basis of
+    per-configuration deadline headroom: [deadline - makespan]. *)
+
+val headroom : deadline:int -> report -> (int * int) array
+(** [(index, deadline - makespan)] per configuration, computed once per
+    leaf sub-family from {!leaf.leaf_makespan} and fanned out to the
+    leaf's members — agreeing with [deadline - snd] over {!makespans}
+    entry for entry, at the cost of one trace scan per leaf instead of
+    one per configuration.  Negative headroom means the configuration
+    misses the deadline. *)
+
+val emit_timeline :
+  Obs.Trace_event.sink -> Variants.System.t -> report -> unit
+(** Exports every configuration's schedule into one trace file using
+    the family lane convention: configuration [index] becomes process
+    group [pid = index + 1], named after its assignment, with
+    {!Timeline.emit}'s usual per-process lanes inside.  Shared prefixes
+    therefore appear as identical lanes across the groups; the groups
+    diverge where the run split. *)
+
+val pp_summary : Format.formatter -> report -> unit

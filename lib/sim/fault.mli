@@ -213,8 +213,8 @@ val copy : state -> state
 (** Independent clone of the runtime state: the splitmix64 stream
     position and every per-process counter (retries, failures, crash and
     degradation flags) are duplicated, so the clone and the original
-    draw and count independently from the fork point on.  {!Family}
-    forks the fault state when a run splits into sub-families — each
+    draw and count independently from the fork point on.
+    {!Family_compiled} forks the fault state when a run splits into sub-families — each
     branch then consumes the stream exactly as a per-configuration
     {!Engine.run} would from that point. *)
 

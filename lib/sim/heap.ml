@@ -72,8 +72,6 @@ let pop_min h =
 
 let peek_time h = if h.size = 0 then None else Some h.data.(0).time
 
-let copy h = { data = Array.copy h.data; size = h.size; next_seq = h.next_seq }
-
 (* Specialization for int-coded payloads: entries live in one flat int
    array (time, seq, value per slot), so pushing an event allocates
    nothing once the array has grown to the run's high-water mark.  The

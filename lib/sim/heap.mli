@@ -18,17 +18,10 @@ val pop_min : 'a t -> (int * 'a) option
 
 val peek_time : 'a t -> int option
 
-val copy : 'a t -> 'a t
-(** Independent clone: pushes and pops on either heap leave the other
-    untouched, and the clone continues the original's sequence counter
-    so FIFO tie-breaks stay aligned across the fork.  Entry values are
-    shared (they are treated as immutable).  {!Family} forks the event
-    heap at sub-family split points with this. *)
-
 (** The same heap specialized to [int] payloads, stored flat in one
     [int array] — pushing allocates nothing once the backing array has
-    reached the run's high-water mark.  Used by the compiled engine
-    ({!Compile}), whose events are int-coded. *)
+    reached the run's high-water mark.  Used by the compiled engines
+    ({!Compile}, {!Family_compiled}), whose events are int-coded. *)
 module Int_heap : sig
   type t
 
@@ -49,8 +42,9 @@ module Int_heap : sig
   (** Removes the earliest event.  Undefined when empty. *)
 
   val copy : t -> t
-  (** Independent clone, exactly like {!val:copy} on the generic heap:
-      the sequence counter carries over so FIFO tie-breaks stay aligned
-      across a fork.  {!Family_compiled} forks the int-coded event heap
-      at sub-family split points with this. *)
+  (** Independent clone: pushes and pops on either heap leave the other
+      untouched, and the clone continues the original's sequence
+      counter so FIFO tie-breaks stay aligned across the fork.
+      {!Family_compiled} forks the event heap at sub-family split
+      points with this. *)
 end

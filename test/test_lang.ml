@@ -39,10 +39,36 @@ let test_lexer_errors () =
      ignore (Lang.Lexer.tokenize "a $ b");
      Alcotest.fail "illegal char accepted"
    with Lang.Lexer.Lex_error { line = 1; col = 3; _ } -> ());
-  try
-    ignore (Lang.Lexer.tokenize "'unterminated");
-    Alcotest.fail "unterminated tag accepted"
-  with Lang.Lexer.Lex_error _ -> ()
+  (try
+     ignore (Lang.Lexer.tokenize "'unterminated");
+     Alcotest.fail "unterminated tag accepted"
+   with Lang.Lexer.Lex_error _ -> ());
+  (* integer literals span exactly [min_int, max_int]; one past either
+     end is a positioned lex error, not an escaping [Failure] *)
+  let lexes_to v =
+    match Lang.Lexer.tokenize ("x " ^ string_of_int v) with
+    | [ _; { Lang.Lexer.token = Lang.Lexer.INT w; _ }; _ ] -> w = v
+    | _ -> false
+  in
+  Alcotest.(check bool) "max_int lexes" true (lexes_to max_int);
+  Alcotest.(check bool) "min_int lexes" true (lexes_to min_int);
+  (* one past the end in magnitude: the last digit of max_int (…3) and
+     min_int (…4) bumps without a carry *)
+  let one_past v =
+    let s = string_of_int v in
+    let k = String.length s - 1 in
+    String.sub s 0 k ^ String.make 1 (Char.chr (Char.code s.[k] + 1))
+  in
+  List.iter
+    (fun literal ->
+      match Lang.Lexer.tokenize ("x\n  " ^ literal) with
+      | _ -> Alcotest.failf "%s accepted" literal
+      | exception Lang.Lexer.Lex_error { line; col; message } ->
+        Alcotest.(check (pair int int))
+          (literal ^ " position") (2, 3) (line, col);
+        Alcotest.(check string) "message" "integer literal out of range"
+          message)
+    [ one_past max_int; one_past min_int ]
 
 (* ------------------------------- parser ----------------------------- *)
 

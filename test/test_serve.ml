@@ -340,42 +340,12 @@ let test_backoff_shape () =
   Alcotest.(check (float 1e-9)) "deep attempt clamps to the ceiling" 5.
     (delay 16)
 
-(* ------------------------ compiled simulate ----------------------- *)
+(* ------------------------- simulate ------------------------------- *)
 
 let run_fields response =
   match Option.bind (J.member "runs" response) J.to_list with
   | Some runs -> runs
   | None -> Alcotest.fail "response has no runs"
-
-let test_handler_simulate_compiled () =
-  let t = Serve.Handler.create ~jobs:1 () in
-  let simulate compiled =
-    handle ~handler:t
-      (plain
-         (P.Simulate
-            { model = model_source; until = Some 50; compiled; family = false }))
-  in
-  let interpreted = simulate false in
-  let hits = Obs.Registry.counter "serve.plan_cache_hits" in
-  let misses = Obs.Registry.counter "serve.plan_cache_misses" in
-  let h0 = Obs.Metric.value hits and m0 = Obs.Metric.value misses in
-  let compiled1 = simulate true in
-  let compiled2 = simulate true in
-  Alcotest.(check string) "ok" "ok" (P.status_of_response compiled1);
-  Alcotest.(check (option bool)) "compiled tagged" (Some true)
-    (Option.bind (J.member "compiled" compiled1) J.to_bool);
-  Alcotest.(check (option bool)) "interpreted tagged" (Some false)
-    (Option.bind (J.member "compiled" interpreted) J.to_bool);
-  (* identical runs: the differential guarantee surfaces on the wire *)
-  Alcotest.(check bool) "compiled runs = interpreted runs" true
-    (run_fields compiled1 = run_fields interpreted);
-  Alcotest.(check bool) "repeat request is stable" true
-    (run_fields compiled1 = run_fields compiled2);
-  (* first compiled request misses the plan cache, the second hits *)
-  Alcotest.(check int) "one miss" (m0 + 1) (Obs.Metric.value misses);
-  Alcotest.(check int) "one hit" (h0 + 1) (Obs.Metric.value hits)
-
-(* ------------------------- family simulate ------------------------ *)
 
 (* Figure 2's shape with initial tokens so the run actually fires: the
    feeder drains CX into the site's input port, both variants can
@@ -418,52 +388,65 @@ let family_model_source =
   }
 |}
 
-let test_handler_simulate_family () =
-  let t = Serve.Handler.create ~jobs:1 () in
-  let simulate compiled =
-    handle ~handler:t
-      (plain
-         (P.Simulate
-            {
-              model = family_model_source;
-              until = Some 500;
-              compiled;
-              family = true;
-            }))
+(* [compiled] is a legacy wire field: every simulate runs on cached
+   compiled plans, so a request answers the same — response bytes and
+   plan-cache traffic — whether the field says true, false or is
+   absent.  [model] is JSON-escaped into a raw request line so the
+   absent case really lacks the field. *)
+let wire_forms ~model ~until ~family =
+  let base =
+    Printf.sprintf {|"op": "simulate", "model": %s, "until": %d, "family": %b|}
+      (J.to_string (J.String model)) until family
   in
+  List.map
+    (fun (label, extra) ->
+      match P.parse_request (Printf.sprintf "{%s%s}" base extra) with
+      | Ok r -> (label, r)
+      | Error e -> Alcotest.failf "%s request rejected: %s" label e)
+    [
+      ("compiled true", {|, "compiled": true|});
+      ("compiled false", {|, "compiled": false|});
+      ("compiled absent", "");
+    ]
+
+let test_handler_simulate_compiled () =
   let hits = Obs.Registry.counter "serve.plan_cache_hits" in
   let misses = Obs.Registry.counter "serve.plan_cache_misses" in
-  let interpreted = simulate false in
-  Alcotest.(check string) "ok" "ok" (P.status_of_response interpreted);
-  Alcotest.(check (option bool)) "family tagged" (Some true)
-    (Option.bind (J.member "family" interpreted) J.to_bool);
-  Alcotest.(check (option int)) "two configurations" (Some 2)
-    (Option.bind (J.member "configurations" interpreted) J.to_int);
-  Alcotest.(check (option int)) "split into two subfamilies" (Some 2)
-    (Option.bind (J.member "subfamilies" interpreted) J.to_int);
-  let h0 = Obs.Metric.value hits and m0 = Obs.Metric.value misses in
-  let compiled1 = simulate true in
-  let compiled2 = simulate true in
-  Alcotest.(check string) "compiled ok" "ok" (P.status_of_response compiled1);
-  (* wire-level differential: the compiled family pass answers with the
-     interpreted pass's runs and sharing summary, byte for byte *)
-  Alcotest.(check bool) "compiled runs = interpreted runs" true
-    (run_fields compiled1 = run_fields interpreted);
+  (* a fresh handler per form: two identical requests each, so each
+     form shows its own miss-then-hit *)
+  let answer request =
+    let t = Serve.Handler.create ~jobs:1 () in
+    let h0 = Obs.Metric.value hits and m0 = Obs.Metric.value misses in
+    let first = handle ~handler:t request in
+    let second = handle ~handler:t request in
+    Alcotest.(check string) "ok" "ok" (P.status_of_response first);
+    Alcotest.(check string) "repeat request is stable" (J.to_string first)
+      (J.to_string second);
+    Alcotest.(check bool) "no compiled echo" true
+      (J.member "compiled" first = None);
+    ( J.to_string first,
+      Obs.Metric.value misses - m0,
+      Obs.Metric.value hits - h0 )
+  in
   List.iter
-    (fun field ->
-      Alcotest.(check (option int)) field
-        (Option.bind (J.member field interpreted) J.to_int)
-        (Option.bind (J.member field compiled1) J.to_int))
-    [ "configurations"; "splits"; "subfamilies"; "executed_firings";
-      "shared_firings" ];
-  Alcotest.(check bool) "repeat request is stable" true
-    (run_fields compiled1 = run_fields compiled2);
-  (* the family plan cache warms like the per-configuration one *)
-  Alcotest.(check int) "one miss" (m0 + 1) (Obs.Metric.value misses);
-  Alcotest.(check int) "one hit" (h0 + 1) (Obs.Metric.value hits);
-  (* the flat and family paths disagree on nothing but sharing: each
-     configuration's end_time matches a per-configuration simulate *)
-  let flat =
+    (fun (model, until, family) ->
+      match wire_forms ~model ~until ~family with
+      | [] -> assert false
+      | (_, reference) :: others ->
+        let expected = answer reference in
+        let _, m, h = expected in
+        Alcotest.(check (pair int int)) "one miss, then one hit" (1, 1) (m, h);
+        List.iter
+          (fun (label, request) ->
+            Alcotest.(check (triple string int int))
+              (Printf.sprintf "%s (family=%b)" label family)
+              expected (answer request))
+          others)
+    [ (model_source, 50, false); (family_model_source, 500, true) ]
+
+let test_handler_simulate_family () =
+  let t = Serve.Handler.create ~jobs:1 () in
+  let simulate family =
     handle ~handler:t
       (plain
          (P.Simulate
@@ -471,16 +454,49 @@ let test_handler_simulate_family () =
               model = family_model_source;
               until = Some 500;
               compiled = false;
-              family = false;
+              family;
             }))
   in
+  let r = simulate true in
+  Alcotest.(check string) "ok" "ok" (P.status_of_response r);
+  Alcotest.(check (option bool)) "family tagged" (Some true)
+    (Option.bind (J.member "family" r) J.to_bool);
+  Alcotest.(check (option int)) "two configurations" (Some 2)
+    (Option.bind (J.member "configurations" r) J.to_int);
+  Alcotest.(check (option int)) "split into two subfamilies" (Some 2)
+    (Option.bind (J.member "subfamilies" r) J.to_int);
+  Alcotest.(check int) "one run per configuration" 2
+    (List.length (run_fields r));
+  (* the flat and family paths disagree on nothing but sharing: each
+     configuration's end_time matches a per-configuration simulate *)
   let end_times r =
     run_fields r
     |> List.filter_map (fun run -> Option.bind (J.member "end_time" run) J.to_int)
     |> List.sort compare
   in
   Alcotest.(check (list int)) "family end times = flat end times"
-    (end_times flat) (end_times interpreted)
+    (end_times (simulate false)) (end_times r)
+
+(* A client's jobs override is clamped to what the daemon allows, so an
+   absurd pool size answers like a sane one instead of holding the
+   single-threaded event loop. *)
+let test_handler_jobs_clamped () =
+  let t = Serve.Handler.create ~jobs:1 () in
+  let synth jobs =
+    handle ~handler:t
+      {
+        (plain
+           (P.Synthesize
+              { model = model_source; tech = tech_source; capacity = None }))
+        with
+        P.jobs = Some jobs;
+      }
+  in
+  let sane = synth 1 in
+  let huge = synth 100_000 in
+  Alcotest.(check string) "ok" "ok" (P.status_of_response huge);
+  Alcotest.(check string) "jobs=100000 cost == jobs=1 cost" (cost_of sane)
+    (cost_of huge)
 
 (* --------------------------- telemetry ---------------------------- *)
 
@@ -696,6 +712,8 @@ let suite =
         test_handler_simulate_compiled;
       Alcotest.test_case "handler family simulate" `Quick
         test_handler_simulate_family;
+      Alcotest.test_case "handler clamps the jobs override" `Quick
+        test_handler_jobs_clamped;
       Alcotest.test_case "client reports unreachable" `Quick
         test_client_unreachable;
       Alcotest.test_case "metrics verb payload" `Quick
