@@ -527,7 +527,14 @@ type explore_run = {
   run_cost : int option;
   run_explored : int;
   run_pruned : int;
+  run_binding : string;  (** digest of the returned binding, "-" if none *)
 }
+
+let binding_digest = function
+  | None -> "-"
+  | Some (s : Synth.Explore.solution) ->
+    Digest.to_hex
+      (Digest.string (Format.asprintf "%a" Synth.Binding.pp s.Synth.Explore.binding))
 
 let time_explore ~reps f =
   (* min-of-reps wall time; the cost/counters come from the last run *)
@@ -546,11 +553,12 @@ let time_explore ~reps f =
    [heads] processes in pid order (= the explorer's decision order) get
    a large hardware area and a small software load, modelling a system
    whose front-end blocks are ASIC-expensive but cheap to schedule.
-   This is the regime where branch order matters: the hw-first
-   sequential reference pays the full cost bound shell once per wrong
-   early hardware commitment, while the greedy-seeded best-first
-   parallel search discards those subtrees against the shared
-   incumbent. *)
+   This is the regime where branch order matters: a search that commits
+   early processes to hardware first pays the full cost bound shell
+   once per wrong commitment, while the explorer's greedy-seeded,
+   software-first order discards those subtrees against the incumbent.
+   The [explored] counters of the trajectory record show how much of
+   the tree that leaves. *)
 let skewed_apps_and_tech ~heads ~head_area ~shared ~cluster ~seed ~sites
     ~variants () =
   let system =
@@ -833,12 +841,12 @@ let record_to_json ~timestamp ~label ~max_jobs ~metrics workload_rows =
         (fun j r ->
           add
             "          {\"jobs\": %d, \"wall_s\": %.6f, \"cost\": %s, \
-             \"explored\": %d, \"pruned\": %d}%s\n"
+             \"explored\": %d, \"pruned\": %d, \"binding_digest\": \"%s\"}%s\n"
             r.run_jobs r.wall_s
             (match r.run_cost with
             | Some c -> string_of_int c
             | None -> "null")
-            r.run_explored r.run_pruned
+            r.run_explored r.run_pruned r.run_binding
             (if j = m - 1 then "" else ","))
         runs;
       add "        ],\n";
@@ -956,6 +964,7 @@ let explore_json () =
                   (match sol with
                   | Some s -> s.Synth.Explore.pruned
                   | None -> 0);
+                run_binding = binding_digest sol;
               })
             job_counts
         in
@@ -974,18 +983,27 @@ let explore_json () =
           Format.eprintf "explore-json: OPTIMAL COSTS DIVERGE on %s@." name;
           exit 1
         end;
+        (* every job count must return the same binding, not only the
+           same cost *)
+        if
+          List.exists (fun q -> q.run_binding <> (List.hd runs).run_binding) runs
+        then begin
+          Format.eprintf "explore-json: BINDINGS DIVERGE on %s@." name;
+          exit 1
+        end;
         (* warm-vs-cold: remember the optimum in a throwaway store and
            re-solve with the stored binding as the warm incumbent.  The
-           store may only change the work, never the answer — a cost
-           mismatch here is a correctness bug, not a perf regression. *)
-        let warm_wall, warm_cost, warm_explored =
+           store may only change the work, never the answer — a cost or
+           binding mismatch here is a correctness bug, not a perf
+           regression. *)
+        let warm_wall, warm_cost, warm_explored, warm_binding =
           let path = Filename.temp_file "bench-explore-warm" ".journal" in
           Fun.protect
             ~finally:(fun () ->
               try Sys.remove path with Sys_error _ -> ())
             (fun () ->
               match Synth.Explore.solve ~jobs:max_jobs ~capacity tech apps with
-              | Error _ -> (nan, None, 0)
+              | Error _ -> (nan, None, 0, "-")
               | Ok cold ->
                 let store, _ = Store.Keyed.open_store ~fsync:false path in
                 Synth.Bound_store.remember ~capacity store tech apps cold;
@@ -1007,16 +1025,20 @@ let explore_json () =
                     (fun (s : Synth.Explore.solution) ->
                       s.Synth.Explore.cost.Synth.Cost.total)
                     sol,
-                  match sol with
+                  (match sol with
                   | Some s -> s.Synth.Explore.explored
-                  | None -> 0 ))
+                  | None -> 0),
+                  binding_digest sol ))
         in
-        let cold_cost =
-          match List.rev runs with r :: _ -> r.run_cost | [] -> None
-        in
-        if warm_cost <> cold_cost then begin
+        let cold = List.hd (List.rev runs) in
+        if warm_cost <> cold.run_cost then begin
           Format.eprintf "explore-json: WARM COST DIVERGES FROM COLD on %s@."
             name;
+          exit 1
+        end;
+        if warm_binding <> cold.run_binding then begin
+          Format.eprintf
+            "explore-json: WARM BINDING DIVERGES FROM COLD on %s@." name;
           exit 1
         end;
         let (sim_interp, sim_compiled, _, sim_speedup) as sim =

@@ -1,21 +1,21 @@
 module J = Obs.Json
 
-type run = { jobs : int; wall_s : float; cost : int option }
+type run = {
+  jobs : int;
+  wall_s : float;
+  cost : int option;
+  explored : int option;
+  binding_digest : string option;
+}
 
 type workload = {
   w_name : string;
   runs : run list;
-  speedup : float;
   sim_speedup : float option;
   family_compiled_speedup : float option;
 }
 
-type record = {
-  label : string;
-  max_jobs : int;
-  aggregate_speedup : float;
-  workloads : workload list;
-}
+type record = { label : string; max_jobs : int; workloads : workload list }
 
 let ( let* ) = Result.bind
 
@@ -32,7 +32,11 @@ let run_of_json j =
     | Some J.Null | None -> None
     | Some v -> J.to_int v
   in
-  Ok { jobs; wall_s; cost }
+  let explored = Option.bind (J.member "explored" j) J.to_int in
+  let binding_digest =
+    Option.bind (J.member "binding_digest" j) J.to_string_opt
+  in
+  Ok { jobs; wall_s; cost; explored; binding_digest }
 
 let rec map_result f = function
   | [] -> Ok []
@@ -53,10 +57,9 @@ let workload_of_json j =
   let* w_name = field "name" J.to_string_opt j in
   let* runs_json = field "runs" J.to_list j in
   let* runs = map_result run_of_json runs_json in
-  let* speedup = field "speedup_max_jobs" J.to_float j in
   let sim_speedup = optional_speedup "sim" j in
   let family_compiled_speedup = optional_speedup "family_compiled" j in
-  Ok { w_name; runs; speedup; sim_speedup; family_compiled_speedup }
+  Ok { w_name; runs; sim_speedup; family_compiled_speedup }
 
 let record_of_json j =
   let* schema = field "schema" J.to_string_opt j in
@@ -68,11 +71,9 @@ let record_of_json j =
         (Option.bind (J.member "label" j) J.to_string_opt)
     in
     let* max_jobs = field "max_jobs" J.to_int j in
-    let* aggregate = field "aggregate" Option.some j in
-    let* aggregate_speedup = field "speedup_max_jobs" J.to_float aggregate in
     let* workloads_json = field "workloads" J.to_list j in
     let* workloads = map_result workload_of_json workloads_json in
-    Ok { label; max_jobs; aggregate_speedup; workloads }
+    Ok { label; max_jobs; workloads }
 
 let records_of_string s =
   let* j = J.parse s in
@@ -84,27 +85,38 @@ let describe r =
   if r.label = "" then Format.sprintf "(unlabelled, %d workloads)" (List.length r.workloads)
   else Format.sprintf "%S (%d workloads)" r.label (List.length r.workloads)
 
-let divergence_failures r =
+(* One failure per workload whose runs disagree on [get] across job
+   counts. *)
+let divergence_failures ~what ~show get r =
   List.filter_map
     (fun w ->
-      match w.runs with
+      match List.map get w.runs with
       | [] | [ _ ] -> None
-      | first :: rest ->
-        if List.for_all (fun q -> q.cost = first.cost) rest then None
-        else
-          Some
-            (Format.sprintf
-               "workload %s: optimal cost differs across job counts (%s)"
-               w.w_name
-               (String.concat ", "
-                  (List.map
-                     (fun q ->
-                       Format.sprintf "jobs=%d:%s" q.jobs
-                         (match q.cost with
-                         | Some c -> string_of_int c
-                         | None -> "infeasible"))
-                     w.runs))))
+      | first :: rest when List.for_all (fun v -> v = first) rest -> None
+      | answers ->
+        Some
+          (Format.sprintf "workload %s: %s differs across job counts (%s)"
+             w.w_name what
+             (String.concat ", "
+                (List.map2
+                   (fun q v -> Format.sprintf "jobs=%d:%s" q.jobs (show v))
+                   w.runs answers))))
     r.workloads
+
+let cost_failures =
+  divergence_failures ~what:"optimal cost"
+    ~show:(function Some c -> string_of_int c | None -> "infeasible")
+    (fun q -> q.cost)
+
+let has_digests r =
+  r.workloads <> []
+  && List.for_all
+       (fun w -> List.for_all (fun q -> Option.is_some q.binding_digest) w.runs)
+       r.workloads
+
+let binding_failures =
+  divergence_failures ~what:"binding" ~show:(Option.value ~default:"-")
+    (fun q -> q.binding_digest)
 
 let same_workload_set a b =
   let names r = List.sort compare (List.map (fun w -> w.w_name) r.workloads) in
@@ -148,40 +160,95 @@ let field_gate ~tolerance ~field ~get ~baseline ~fresh failures =
     | None, _ | _, None ->
       Format.sprintf "%s not gated (field absent in a record)" field)
 
-let check ?(tolerance = 0.3) ~baseline ~fresh () =
-  let failures = ref (divergence_failures fresh) in
-  let summary =
-    match baseline with
-    | None ->
-      Format.sprintf
-        "fresh record %s: costs identical across job counts; no baseline \
-         record, speedup not gated"
-        (describe fresh)
-    | Some base when not (same_workload_set base fresh) ->
-      (* wall times of different workload sets (e.g. a --tiny CI record
-         against a committed full-size one) are not comparable, so only
-         the cost arm applies *)
-      Format.sprintf
-        "fresh record %s vs baseline %s: costs identical across job counts; \
-         workload sets differ, speedup not gated"
-        (describe fresh) (describe base)
-    | Some base ->
-      let floor = (1. -. tolerance) *. base.aggregate_speedup in
-      if fresh.aggregate_speedup < floor then
+let wall_floor_s = 1e-4
+
+let find_run jobs w = List.find_opt (fun q -> q.jobs = jobs) w.runs
+
+(* Node arm: the deterministic jobs=1 node count of every workload may
+   not grow, at all. *)
+let explored_gate ~base ~fresh failures =
+  List.iter
+    (fun w ->
+      match
+        ( Option.bind
+            (List.find_opt (fun b -> b.w_name = w.w_name) base.workloads)
+            (fun b -> Option.bind (find_run 1 b) (fun q -> q.explored)),
+          Option.bind (find_run 1 w) (fun q -> q.explored) )
+      with
+      | Some b, Some f when f > b ->
         failures :=
           !failures
           @ [
               Format.sprintf
-                "aggregate speedup regressed: %.3fx, below %.3fx (%.0f%% of \
-                 the baseline's %.3fx)"
-                fresh.aggregate_speedup floor
-                (100. *. (1. -. tolerance))
-                base.aggregate_speedup;
-            ];
+                "workload %s: explored %d nodes at jobs=1, more than the \
+                 baseline's %d"
+                w.w_name f b;
+            ]
+      | _ -> ())
+    fresh.workloads
+
+(* Wall arm: every (workload, job count) both records ran, against the
+   baseline's wall plus the tolerance.  Pairs whose baseline wall is
+   below the timer floor are skipped: there a few microseconds of
+   scheduling jitter exceed any relative bound. *)
+let wall_gate ~tolerance ~base ~fresh failures =
+  List.iter
+    (fun w ->
+      match List.find_opt (fun b -> b.w_name = w.w_name) base.workloads with
+      | None -> ()
+      | Some b ->
+        List.iter
+          (fun q ->
+            match find_run q.jobs b with
+            | Some bq when bq.wall_s >= wall_floor_s ->
+              let limit = bq.wall_s *. (1. +. tolerance) in
+              if q.wall_s > limit then
+                failures :=
+                  !failures
+                  @ [
+                      Format.sprintf
+                        "workload %s: wall at jobs=%d regressed: %.6fs, above \
+                         %.6fs (the baseline's %.6fs + %.0f%%)"
+                        w.w_name q.jobs q.wall_s limit bq.wall_s
+                        (100. *. tolerance);
+                    ]
+            | Some _ | None -> ())
+          w.runs)
+    fresh.workloads
+
+let check ?(tolerance = 0.3) ~baseline ~fresh () =
+  let failures = ref (cost_failures fresh) in
+  let binding_summary =
+    if has_digests fresh then begin
+      failures := !failures @ binding_failures fresh;
+      "bindings identical across job counts"
+    end
+    else "bindings not gated (no digests)"
+  in
+  let summary =
+    match baseline with
+    | None ->
+      Format.sprintf
+        "fresh record %s: costs identical across job counts; %s; no \
+         baseline record, nodes and walls not gated"
+        (describe fresh) binding_summary
+    | Some base when not (same_workload_set base fresh) ->
+      (* node counts and wall times of different workload sets (e.g. a
+         --tiny CI record against a committed full-size one) are not
+         comparable, so only the per-record arms apply *)
       Format.sprintf
         "fresh record %s vs baseline %s: costs identical across job counts; \
-         aggregate speedup %.3fx against a %.3fx floor"
-        (describe fresh) (describe base) fresh.aggregate_speedup floor
+         %s; workload sets differ, nodes and walls not gated"
+        (describe fresh) (describe base) binding_summary
+    | Some base ->
+      explored_gate ~base ~fresh failures;
+      wall_gate ~tolerance ~base ~fresh failures;
+      Format.sprintf
+        "fresh record %s vs baseline %s: costs identical across job counts; \
+         %s; jobs=1 explored nodes no more than the baseline's; walls within \
+         %.0f%% of the baseline's (baselines under %.0f us not gated)"
+        (describe fresh) (describe base) binding_summary (100. *. tolerance)
+        (1e6 *. wall_floor_s)
   in
   let sim_summary =
     field_gate ~tolerance ~field:"sim"

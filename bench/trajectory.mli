@@ -6,12 +6,20 @@
     a CI run first appends a record for the current tree, then calls
     {!check_file}, so the baseline is the last committed record. *)
 
-type run = { jobs : int; wall_s : float; cost : int option }
+type run = {
+  jobs : int;
+  wall_s : float;
+  cost : int option;
+  explored : int option;
+      (** decision nodes expanded; [None] for records without the field *)
+  binding_digest : string option;
+      (** digest of the returned binding; [None] for records written
+          before the field existed *)
+}
 
 type workload = {
   w_name : string;
   runs : run list;
-  speedup : float;  (** jobs=1 wall time over max-jobs wall time *)
   sim_speedup : float option;
       (** the ["sim"] object's compiled-vs-interpreted speedup; [None]
           for records written before the field existed *)
@@ -26,12 +34,16 @@ type workload = {
 type record = {
   label : string;  (** empty when the record carries no label *)
   max_jobs : int;
-  aggregate_speedup : float;
   workloads : workload list;
 }
 
 val record_of_json : Obs.Json.t -> (record, string) result
 val records_of_string : string -> (record list, string) result
+
+val wall_floor_s : float
+(** Timer floor of the wall arm, 100 us: a (workload, job count) pair
+    whose baseline wall is below it is not gated, because scheduling
+    jitter of a few microseconds exceeds any relative bound there. *)
 
 val check :
   ?tolerance:float ->
@@ -41,15 +53,24 @@ val check :
   (string, string list) result
 (** Gate one fresh record against an optional baseline.  Fails when
 
-    - a workload's optimal cost differs across job counts (parallel
-      exploration must be a pure speedup, never a different answer), or
-    - the fresh aggregate max-jobs speedup has regressed below
-      [(1 - tolerance)] of the baseline's ([tolerance] defaults to
-      [0.3], i.e. a 30% regression budget for machine noise), or
+    - a workload's optimal cost differs across job counts, or
+    - a workload's binding digest differs across job counts (every job
+      count must return the same binding) — skipped for records whose
+      runs lack the digest;
+
+    and, against a baseline over the same workload set (a [--tiny]
+    record against a full-size one compares nothing), when
+
+    - a workload explored more nodes at [jobs = 1] than the baseline
+      did — no tolerance: the count is deterministic, so any increase
+      is a real change of the search;
+    - a workload's wall time at a job count both records ran exceeds
+      the baseline's by more than [tolerance] (default [0.3], i.e. 30%)
+      — skipped where the baseline wall is below {!wall_floor_s};
     - a per-field speedup (["sim"], ["family_compiled"]) regressed past
-      the same budget — compared only when both records carry the field
-      over the same workload set, so mixed-version trajectories (records
-      from before the field existed) skip the gate rather than fail.
+      [(1 - tolerance)] of the baseline's — compared only when both
+      records carry the field, so mixed-version trajectories skip the
+      arm rather than fail.
 
     [Ok summary] describes what was checked; [Error failures] lists
     every violated condition. *)

@@ -198,10 +198,8 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
-          "Worker domains for the exploration (1 = sequential reference, 0 = \
-           one per recommended domain).")
-
-let resolve_jobs = function 0 -> Synth.Par.available_jobs () | j -> j
+          "Worker domains for the exploration (0 = one per recommended \
+           domain). Every count returns the same answer.")
 
 (* ------------------------------------------------------------------ *)
 (* Commands.                                                           *)
@@ -626,7 +624,7 @@ let simulate_cmd =
     | Some sys ->
       let system = sys () in
       let stimuli = bundled.stimuli () in
-      let jobs = resolve_jobs jobs in
+      let jobs = Synth.Par.resolve_jobs jobs in
       let report =
         Fam.run ~policy ~stimuli ~firing_budget:bundled.budgets ~jobs
           (Fam.plan system)
@@ -805,7 +803,7 @@ let faultsim_cmd =
             if no_faults then None
             else Some (family_fault_plan ~drop ~transient ~seed first)
           in
-          let jobs = resolve_jobs jobs in
+          let jobs = Synth.Par.resolve_jobs jobs in
           let report = Fam.run ~stimuli ?faults ~jobs plan in
           (* headroom is computed once per leaf sub-family and fanned
              out to the leaf's members — a configuration misses the
@@ -909,7 +907,7 @@ let faultsim_cmd =
           other;
         exit 1
     in
-    let jobs = resolve_jobs jobs in
+    let jobs = Synth.Par.resolve_jobs jobs in
     let built =
       Video.System.build { Video.System.default_params with with_valves }
     in
@@ -1117,7 +1115,8 @@ let simulate_file_cmd =
                  (Spi.Model.unwritten_channels first))
           in
           let report =
-            Fam.run ~policy ~stimuli ~jobs:(resolve_jobs jobs) (Fam.plan system)
+            Fam.run ~policy ~stimuli ~jobs:(Synth.Par.resolve_jobs jobs)
+              (Fam.plan system)
           in
           finish_family ?deadline ~show_trace ~trace_path ~trace_buffered
             ~metrics_path system report
@@ -1255,7 +1254,7 @@ let synthesize_cmd =
   let run jobs trace_path trace_buffered span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if Option.is_some trace_path then Synth.Domain_trace.enable ();
-    let jobs = resolve_jobs jobs in
+    let jobs = Synth.Par.resolve_jobs jobs in
     let tech = F2.table1_tech in
     let apps = [ F2.app1; F2.app2 ] in
     let print name (s : Synth.Explore.solution) =
@@ -1532,7 +1531,7 @@ let serve_cmd =
         log_level;
         sample_interval_ms;
         series_windows;
-        jobs = resolve_jobs jobs;
+        jobs = Synth.Par.resolve_jobs jobs;
         queue_limit;
         default_deadline_ms;
         fsync = not no_fsync;

@@ -33,6 +33,12 @@ let merge a b =
   in
   match !conflicts with [] -> Ok merged | cs -> Error (List.rev cs)
 
+let compare a b =
+  I.Process_id.Map.compare
+    (fun x y ->
+      match (x, y) with Sw, Hw -> -1 | Hw, Sw -> 1 | Sw, Sw | Hw, Hw -> 0)
+    a b
+
 let union_prefer_left a b = I.Process_id.Map.union (fun _ ia _ -> Some ia) a b
 let cardinal t = I.Process_id.Map.cardinal t
 

@@ -18,6 +18,10 @@ val merge : t -> t -> (t, Spi.Ids.Process_id.t list) result
     differently on the two sides (the left implementation is kept in
     neither case — merging fails). *)
 
+val compare : t -> t -> int
+(** The canonical order of the explorers' tie-break (see {!Search}):
+    lexicographic over processes in pid order, [Sw] before [Hw]. *)
+
 val union_prefer_left : t -> t -> t
 val cardinal : t -> int
 val pp_impl : Format.formatter -> impl -> unit

@@ -27,30 +27,6 @@ let pp_diagnostic ppf = function
     Format.pp_print_string ppf
       "deadline expired before any feasible binding was found"
 
-(* Per-process search data, memoized once per [solve] call: technology
-   options with any [fixed] pin already applied, and application
-   membership as an index list — the inner loop touches only the
-   applications a process actually belongs to, instead of re-deriving
-   membership and re-querying the technology map at every node. *)
-type node = {
-  pid : I.Process_id.t;
-  sw : int option;  (** software load, [None] when unavailable or pinned HW *)
-  hw : int option;  (** hardware area, [None] when unavailable or pinned SW *)
-  members : int array;  (** indices of the applications containing [pid] *)
-}
-
-type counters = { mutable explored : int; mutable pruned : int }
-
-(* Domain-local accumulator for the work-stealing fold: the best
-   (binding, worst-load) seen by this worker and its node counters. *)
-type par_acc = {
-  c_best : (Binding.t * int) option ref;
-  c_cost : int ref;
-  c_counters : counters;
-}
-
-exception Diagnosed of diagnostic
-
 (* Observability: node totals are folded into the registry once per
    solve (and per parallel task), never from the search loop itself, so
    instrumentation adds a handful of atomic operations to a search that
@@ -68,63 +44,24 @@ let m_deadline_hits = Obs.Registry.counter "explore.deadline_hits"
 let m_warm_accepted = Obs.Registry.counter "explore.warm_starts_accepted"
 let m_warm_rejected = Obs.Registry.counter "explore.warm_starts_rejected"
 
-let compile ~fixed tech apps procs =
-  let member_indices pid =
-    let hits = ref [] in
-    Array.iteri
-      (fun i (a : App.t) ->
-        if I.Process_id.Set.mem pid a.App.procs then hits := i :: !hits)
-      apps;
-    Array.of_list (List.rev !hits)
-  in
-  Array.map
-    (fun pid ->
-      let o = Tech.options_of tech pid in
-      let pin = Binding.impl_of pid fixed in
-      (match pin with
-      | Some Binding.Hw when Option.is_none o.Tech.hw ->
-        raise (Diagnosed (Pinned_impl_unavailable { process = pid; impl = Binding.Hw }))
-      | Some Binding.Sw when Option.is_none o.Tech.sw ->
-        raise (Diagnosed (Pinned_impl_unavailable { process = pid; impl = Binding.Sw }))
-      | Some _ | None -> ());
-      let sw =
-        match pin with
-        | Some Binding.Hw -> None
-        | Some Binding.Sw | None ->
-          Option.map (fun s -> s.Tech.load) o.Tech.sw
-      and hw =
-        match pin with
-        | Some Binding.Sw -> None
-        | Some Binding.Hw | None ->
-          Option.map (fun h -> h.Tech.area) o.Tech.hw
-      in
-      { pid; sw; hw; members = member_indices pid })
-    procs
+(* The branch-and-bound core.  Search state: index into [nodes], the
+   decision vector [choices], accumulated ASIC area, whether any process
+   went to software (the processor cost trigger), and the
+   per-application software loads in [loads].  Lower bound of a partial
+   assignment: area so far + processor cost if any software so far —
+   every completion only adds cost.  A partial assignment dies as soon
+   as one application's load exceeds capacity (software loads only
+   grow), or when {!Search.admits} rules out that any of its leaves
+   precedes the incumbent in the canonical (cost, decision vector)
+   order.
 
-(* The branch-and-bound core, shared by the sequential and the parallel
-   path.  Search state: index into [nodes], the binding prefix,
-   accumulated ASIC area, whether any process went to software (the
-   processor cost trigger), and the per-application software loads in
-   [loads].  Lower bound of a partial assignment: area so far +
-   processor cost if any software so far — every completion only adds
-   cost.  A partial assignment dies as soon as one application's load
-   exceeds capacity (software loads only grow).
-
-   Child order: the sequential reference visits the hardware child
-   first (the historical order of the seed implementation).  The
-   parallel path sets [sw_first] and visits the software child first —
-   the software child always carries the lower bound (software adds no
-   area), so this is best-first descent, and it is what lets the
-   bound-sorted task schedule establish a tight incumbent early.
-
-   Counter semantics: [explored] counts decision nodes expanded — nodes
-   that survive the bound check and branch on a process.  [pruned]
-   counts subtrees cut, whether by the incumbent bound or by a capacity
-   overload; complete leaves count as neither.  Hardware and software
-   children are treated identically, so the totals are comparable
-   across search orders and domain counts. *)
-let choice_hw = 1
-let choice_sw = 2
+   Children are visited software first: the software child always
+   carries the lower bound (software adds no area), so this is
+   best-first descent, and it is also the canonical order — decisions
+   are encoded SW = 1 < HW = 2, so a depth-first walk meets leaves in
+   increasing vector order.  Counter semantics: {!Search.counters}. *)
+let choice_sw = 1
+let choice_hw = 2
 
 (* Rebuild a [Binding.t] from the mutable decision vector.  Called only
    at leaves that survive the bound check — those are incumbent
@@ -132,7 +69,7 @@ let choice_sw = 2
    itself allocates nothing.  (With several domains time-slicing few
    cores, per-node allocation is poison: every minor collection is a
    stop-the-world rendezvous across all domains.) *)
-let materialize ~nodes ~n choices =
+let materialize ~(nodes : Search.node array) ~n choices =
   let b = ref Binding.empty in
   for j = 0 to n - 1 do
     if choices.(j) = choice_hw then
@@ -147,27 +84,26 @@ let materialize ~nodes ~n choices =
    must not allocate per node, or minor collections (stop-the-world
    rendezvous across domains) dominate the parallel run time. *)
 (* [try_split i area any_sw] is consulted at branch nodes where both
-   children exist (parallel path only): returning [true] means the
-   caller captured the hardware sibling as a pool task, so only the
-   software child — the lower bound — descends in place.  The check
-   runs mid-descent, so a task deep in its subtree still sheds work the
-   moment another worker goes hungry — but only down to [split_floor]:
-   below it the remaining subtree is too small to be worth shipping,
-   and the guard keeps the hot deep nodes free of the hook's atomic
-   reads (a plain int compare instead).  With the default hook the
-   search is the sequential reference. *)
+   children exist: returning [true] means the caller captured the
+   hardware sibling as a pool task, so only the software child descends
+   in place.  The check runs mid-descent, so a task deep in its subtree
+   still sheds work the moment another worker goes hungry — but only
+   down to [split_floor]: below it the remaining subtree is too small to
+   be worth shipping, and the guard keeps the hot deep nodes free of the
+   hook's atomic reads (a plain int compare instead). *)
 (* [should_stop] is the cooperative cancellation hook next to
    [try_split]: it is consulted once every 1024 expanded nodes — a
    single [land] on the hot path between polls, so a deadline costs
    nothing measurable and a run without one is byte-identical — and
-   once it fires [stopped] latches, the recursion unwinds without
-   expanding further nodes, and the caller reads [stopped] to learn the
-   search was cut short (the incumbent found so far is still valid, it
-   is just not proved optimal). *)
+   once it fires [stopped] latches and the recursion unwinds without
+   expanding further nodes (the incumbent found so far is still valid,
+   it is just not proved optimal). *)
 let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
-    ?(should_stop = fun () -> false) ?(stopped = ref false) ~sw_first
-    ~capacity ~processor_cost ~accept ~nodes ~n ~loads ~choices ~counters
-    ~current_bound ~improve start area0 any_sw0 =
+    ~should_stop ~capacity
+    ~processor_cost ~accept ~(nodes : Search.node array) ~n ~loads ~choices
+    ~(counters : Search.counters) ~incumbent ~on_improve start area0 any_sw0 =
+  (* a task claimed after the deadline expands nothing *)
+  let stopped = ref (should_stop ()) in
   (* hoisted so the recursive closures are allocated once per call, not
      once per node *)
   let rec add_loads members m load k ok =
@@ -182,7 +118,7 @@ let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
   let rec go i area any_sw =
     let lower = area + if any_sw then processor_cost else 0 in
     if !stopped then ()
-    else if lower >= current_bound () then
+    else if not (Search.admits (Atomic.get incumbent) ~lower choices i) then
       counters.pruned <- counters.pruned + 1
     else if i = n then begin
       let binding = materialize ~nodes ~n choices in
@@ -191,31 +127,26 @@ let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
         for a = 0 to Array.length loads - 1 do
           if loads.(a) > !worst then worst := loads.(a)
         done;
-        improve lower binding !worst
+        if Search.offer incumbent ~cost:lower choices (binding, !worst) then
+          on_improve lower
       end
     end
     else begin
       counters.explored <- counters.explored + 1;
       if counters.explored land 1023 = 0 && should_stop () then
         stopped := true
-      else if sw_first then begin
-        if
-          i < split_floor
-          && Option.is_some nodes.(i).hw
-          && Option.is_some nodes.(i).sw
-          && try_split i area any_sw
-        then
-          (* hardware sibling shipped to the pool — best-first child
-             continues in place *)
-          sw_child i area any_sw
-        else begin
-          sw_child i area any_sw;
-          hw_child i area any_sw
-        end
-      end
-      else begin
-        hw_child i area any_sw;
+      else if
+        i < split_floor
+        && Option.is_some nodes.(i).hw
+        && Option.is_some nodes.(i).sw
+        && try_split i area any_sw
+      then
+        (* hardware sibling shipped to the pool — best-first child
+           continues in place *)
         sw_child i area any_sw
+      else begin
+        sw_child i area any_sw;
+        hw_child i area any_sw
       end
     end
   and hw_child i area any_sw =
@@ -241,61 +172,61 @@ let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
   in
   go start area0 any_sw0
 
-let solve_seq ~start_ns ~deadline_ns ~warm ~capacity ~processor_cost ~accept
-    ~nodes ~n_apps =
+(* Complete the decision vector [vec] from node [from] on, given the
+   loads, area and software flag of its prefix: a process follows
+   [pick i] when that names an implementation — failing when the option
+   is missing or the software load does not fit — and is otherwise
+   placed greedily, in software when the loads allow it, in hardware
+   otherwise.  One linear pass, no backtracking: [Some (cost, vec,
+   worst load)] or [None]. *)
+let complete ~capacity ~processor_cost ~(nodes : Search.node array) ~pick vec
+    loads from area any_sw =
   let n = Array.length nodes in
-  let loads = Array.make n_apps 0 in
-  let choices = Array.make n 0 in
-  let counters = { explored = 0; pruned = 0 } in
-  let best = ref None and best_cost = ref max_int in
-  (* a validated warm incumbent prunes from the first node, exactly like
-     a greedy seed; the exhaustive descent below still proves (or beats)
-     it, so warm and cold runs report identical costs *)
-  (match warm with
-  | Some (cost, binding, worst) ->
-    best := Some (binding, worst);
-    best_cost := cost;
-    Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns)
-  | None -> ());
-  (* an already-expired deadline degrades immediately — the throttled
-     in-search poll would never fire on a small tree *)
-  let stopped =
-    ref
-      (match deadline_ns with
-      | Some dl -> Obs.Clock.now_ns () >= dl
-      | None -> false)
+  let rec place i area any_sw =
+    if i = n then
+      Some
+        ( (area + if any_sw then processor_cost else 0),
+          vec,
+          Array.fold_left max 0 loads )
+    else
+      let nd = nodes.(i) in
+      let sw_fits =
+        match nd.sw with
+        | None -> false
+        | Some load ->
+          Array.for_all (fun ai -> loads.(ai) + load <= capacity) nd.members
+      in
+      let sw () =
+        let load = Option.get nd.sw in
+        Array.iter (fun ai -> loads.(ai) <- loads.(ai) + load) nd.members;
+        vec.(i) <- choice_sw;
+        place (i + 1) area true
+      and hw () =
+        match nd.hw with
+        | Some a ->
+          vec.(i) <- choice_hw;
+          place (i + 1) (area + a) any_sw
+        | None -> None
+      in
+      match pick i with
+      | Some Binding.Hw -> hw ()
+      | Some Binding.Sw -> if sw_fits then sw () else None
+      | None -> if sw_fits then sw () else hw ()
   in
-  let should_stop =
-    match deadline_ns with
-    | None -> fun () -> false
-    | Some dl -> fun () -> Obs.Clock.now_ns () >= dl
-  in
-  search ~should_stop ~stopped ~sw_first:false ~capacity ~processor_cost
-    ~accept ~nodes ~n ~loads ~choices ~counters
-    ~current_bound:(fun () -> !best_cost)
-    ~improve:(fun cost binding worst ->
-      if cost < !best_cost then begin
-        if !best_cost = max_int then
-          Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns);
-        Obs.Metric.incr m_improvements;
-        Domain_trace.record_improvement ~cost;
-        best_cost := cost;
-        best := Some (binding, worst)
-      end)
-    0 0 false;
-  (!best, counters, !stopped)
+  place from area any_sw
 
-(* Parallel path: enumerate the decision tree down to a split depth
-   into independent subtree tasks (each carrying its own loads
-   snapshot), order the tasks by the cost of a greedy completion of
-   their prefix, and run them on a domain pool with a shared atomic
-   incumbent for cross-domain pruning.  The search is best-first at
-   both levels: tasks are claimed cheapest-estimate-first through the
-   pool's cursor, and inside a task the lower-bound child (software) is
-   descended first.  The cheapest greedy completion also seeds the
-   incumbent, so the most promising subtrees run against a tight bound
-   from the first node and the expensive subtrees are pruned wholesale
-   — this helps even when the domains outnumber the cores. *)
+(* Enumerate the decision tree down to a split depth into independent
+   subtree tasks (each carrying its own loads snapshot), order the tasks
+   by the cost of a greedy completion of their prefix, and run them on a
+   domain pool with a shared atomic incumbent for cross-domain pruning.
+   The search is best-first at both levels: tasks are claimed
+   cheapest-estimate-first through the pool's cursor, and inside a task
+   the lower-bound child (software) is descended first.  The greedy
+   completions also seed the incumbent, so the most promising subtrees
+   run against a tight bound from the first node and the expensive
+   subtrees are pruned wholesale.  [jobs] only sizes the pool (and the
+   static split); at [jobs = 1] the pool runs the tasks inline, in the
+   same order. *)
 type task = {
   t_choices : int array;  (** full-length decision vector, prefix filled *)
   t_area : int;
@@ -312,42 +243,25 @@ type task = {
    actively harmful: seeds all enqueue at pool start, so a wide seed
    array means the last-claimed seeds sit queued for most of the run,
    which is exactly the [par.task_queue_wait_ns] tail the deques are
-   meant to remove. *)
+   meant to remove.  Clamped to [0 .. n - 2], so tiny problems become
+   one root task. *)
 let split_depth ~jobs ~n =
   let target = jobs * 16 in
   let rec depth d = if 1 lsl d >= target || d >= 14 then d else depth (d + 1) in
-  min (n - 2) (depth 0)
+  max 0 (min (n - 2) (depth 0))
 
-let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
-    ~accept ~nodes ~n_apps =
+let branch_and_bound ~start_ns ~deadline_ns ~warm ~jobs ~capacity
+    ~processor_cost ~accept ~(nodes : Search.node array) ~n_apps =
   (* one latch shared by every domain: whichever worker's throttled
      clock poll crosses the deadline first publishes the cancellation,
      the others observe it at their next poll (at most 1024 nodes
-     later), and the pool stops claiming queued tasks *)
-  let cancelled =
-    (* an already-expired deadline collapses the search before it
-       starts: the greedy seeding below still provides the incumbent *)
-    Atomic.make
-      (match deadline_ns with
-      | Some dl -> Obs.Clock.now_ns () >= dl
-      | None -> false)
-  in
-  let should_stop =
-    match deadline_ns with
-    | None -> fun () -> Atomic.get cancelled
-    | Some dl ->
-      fun () ->
-        Atomic.get cancelled
-        ||
-        if Obs.Clock.now_ns () >= dl then begin
-          Atomic.set cancelled true;
-          true
-        end
-        else false
-  in
+     later), and the pool stops claiming queued tasks; an
+     already-expired deadline collapses the search before it starts,
+     and the seeding below still provides the incumbent *)
+  let cancelled, should_stop = Search.deadline deadline_ns in
   let n = Array.length nodes in
   let depth = split_depth ~jobs ~n in
-  let prefix_counters = { explored = 0; pruned = 0 } in
+  let counters = Search.zero () in
   let tasks = ref [] in
   let loads = Array.make n_apps 0 in
   let choices = Array.make n 0 in
@@ -367,7 +281,7 @@ let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
         }
         :: !tasks
     else begin
-      prefix_counters.explored <- prefix_counters.explored + 1;
+      counters.explored <- counters.explored + 1;
       let nd = nodes.(i) in
       (match nd.hw with
       | Some a ->
@@ -386,7 +300,7 @@ let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
           choices.(i) <- choice_sw;
           enumerate (i + 1) area true
         end
-        else prefix_counters.pruned <- prefix_counters.pruned + 1;
+        else counters.pruned <- counters.pruned + 1;
         Array.iter (fun ai -> loads.(ai) <- loads.(ai) - load) nd.members
       | None -> ()
     end
@@ -398,46 +312,19 @@ let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
      result is a feasible solution of the task's subtree (when every
      process has the needed option), which serves two purposes:
 
-     - the cheapest greedy completion seeds the shared incumbent with a
-       real candidate before any domain starts, so no worker searches
-       with a cold [max_int] bound;
+     - the greedy completions seed the shared incumbent with real
+       candidates before any domain starts, so no worker searches with
+       a cold [max_int] bound;
      - tasks are scheduled cheapest-estimate-first.  The greedy cost is
        an upper bound on the subtree optimum, which predicts solution
        quality far better than the lower bound: a prefix that commits
        everything to software looks unbeatable to the bound yet burns
        the capacity that its completion then pays for in area. *)
   let greedy_complete t =
-    let loads = Array.copy t.t_loads in
-    let filled = Array.copy t.t_choices in
-    let area = ref t.t_area and any_sw = ref t.t_any_sw in
-    let feasible = ref true in
-    for i = t.t_depth to n - 1 do
-      if !feasible then begin
-        let nd = nodes.(i) in
-        let sw_fits =
-          match nd.sw with
-          | None -> false
-          | Some load ->
-            Array.for_all (fun ai -> loads.(ai) + load <= capacity) nd.members
-        in
-        if sw_fits then begin
-          let load = Option.get nd.sw in
-          Array.iter (fun ai -> loads.(ai) <- loads.(ai) + load) nd.members;
-          filled.(i) <- choice_sw;
-          any_sw := true
-        end
-        else
-          match nd.hw with
-          | Some a ->
-            filled.(i) <- choice_hw;
-            area := !area + a
-          | None -> feasible := false
-      end
-    done;
-    if !feasible then
-      let cost = !area + if !any_sw then processor_cost else 0 in
-      Some (cost, materialize ~nodes ~n filled, Array.fold_left max 0 loads)
-    else None
+    complete ~capacity ~processor_cost ~nodes
+      ~pick:(fun _ -> None)
+      (Array.copy t.t_choices) (Array.copy t.t_loads) t.t_depth t.t_area
+      t.t_any_sw
   in
   let estimates = Array.map greedy_complete tasks in
   let order = Array.init (Array.length tasks) Fun.id in
@@ -451,109 +338,70 @@ let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
       | c -> c)
     order;
   let tasks = Array.map (fun i -> tasks.(i)) order in
-  let seed_best = ref None and seed_cost = ref max_int in
+  let incumbent = Atomic.make Search.empty in
   (* a validated warm incumbent competes with the greedy completions on
-     equal terms; whichever is cheaper seeds the shared bound *)
+     equal terms: the canonical order keeps the one that precedes *)
   (match warm with
-  | Some (cost, binding, worst) ->
-    seed_cost := cost;
-    seed_best := Some (binding, worst)
+  | Some (cost, vec, binding, worst) ->
+    ignore (Search.offer incumbent ~cost vec (binding, worst) : bool)
   | None -> ());
   Array.iter
-    (fun e ->
-      match e with
-      | Some (cost, binding, worst)
-        when cost < !seed_cost && accept binding ->
-        seed_cost := cost;
-        seed_best := Some (binding, worst)
-      | Some _ | None -> ())
+    (function
+      | Some (cost, vec, worst) ->
+        let binding = materialize ~nodes ~n vec in
+        if accept binding then
+          ignore (Search.offer incumbent ~cost vec (binding, worst) : bool)
+      | None -> ())
     estimates;
-  let incumbent = Atomic.make !seed_cost in
   Obs.Metric.add m_tasks (Array.length tasks);
-  (* the greedy seeding above is the first incumbent when it exists;
-     otherwise the first CAS win below records the gauge *)
-  let have_incumbent = Atomic.make (!seed_cost < max_int) in
-  if Atomic.get have_incumbent then
+  (* the seeding above is the first incumbent when it exists (and the
+     first sample of the descent track); otherwise the first improvement
+     below records the gauge *)
+  let seed_cost = (Atomic.get incumbent).Search.cost in
+  let have_incumbent = Atomic.make (seed_cost < max_int) in
+  if Atomic.get have_incumbent then begin
     Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns);
-  let note_incumbent () =
+    Domain_trace.record_improvement ~cost:seed_cost
+  end;
+  let on_improve cost =
     if not (Atomic.exchange have_incumbent true) then
       Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns);
-    Obs.Metric.incr m_improvements
+    Obs.Metric.incr m_improvements;
+    Domain_trace.record_improvement ~cost
   in
   (* Root incumbent dive (same scheme as {!Multi.optimal}): solve the
-     best-estimated subtree sequentially before any domain spawns.  The
-     greedy completion only bounds that subtree's optimum from above;
-     diving it to the bottom usually lands the true global optimum, so
-     the pool then runs every remaining seed — and every speculatively
-     shed sibling — against a tight bound instead of discovering it
+     best-estimated subtree before the pool starts.  The greedy
+     completion only bounds that subtree's optimum from above; diving it
+     to the bottom usually lands the true global optimum, so the pool
+     then runs every remaining seed — and every speculatively shed
+     sibling — against a tight bound instead of discovering it
      concurrently while domains contend for cores. *)
   if Array.length tasks > 0 then begin
     let t = tasks.(0) in
-    let counters = prefix_counters in
-    search ~should_stop ~sw_first:true ~capacity ~processor_cost ~accept
-      ~nodes ~n ~loads:t.t_loads ~choices:t.t_choices ~counters
-      ~current_bound:(fun () -> Atomic.get incumbent)
-      ~improve:(fun cost binding worst ->
-        if cost < !seed_cost then begin
-          seed_cost := cost;
-          seed_best := Some (binding, worst);
-          Atomic.set incumbent cost;
-          note_incumbent ();
-          Domain_trace.record_improvement ~cost
-        end)
+    search ~should_stop ~capacity ~processor_cost ~accept ~nodes ~n
+      ~loads:t.t_loads ~choices:t.t_choices ~counters ~incumbent ~on_improve
       t.t_depth t.t_area t.t_any_sw
   end;
   let tasks =
     if Array.length tasks > 0 then Array.sub tasks 1 (Array.length tasks - 1)
     else tasks
   in
-  (* Run the tasks on the work-stealing pool.  Each worker threads a
-     domain-local accumulator (best solution + node counters); a task
-     whose subtree root still has siblings to offer re-splits while any
-     worker is hungry: the hardware child (never the lower bound) is
+  (* Run the tasks on the work-stealing pool.  Each worker threads its
+     own node counters; the answer lives in the shared incumbent.  A
+     task whose subtree root still has siblings to offer re-splits while
+     any worker is hungry: the hardware child (never the lower bound) is
      snapshotted and pushed onto the owner's deque for thieves to drain
      FIFO, and the software child — best-first — continues in place on
      the task's own arrays.  Re-splitting allocates per {e split}, not
      per node, so the search loop itself stays allocation-free. *)
-  let acc_init () =
-    { c_best = ref None; c_cost = ref max_int;
-      c_counters = { explored = 0; pruned = 0 } }
-  in
-  let acc_merge a b =
-    a.c_counters.explored <- a.c_counters.explored + b.c_counters.explored;
-    a.c_counters.pruned <- a.c_counters.pruned + b.c_counters.pruned;
-    (match !(b.c_best) with
-    | Some bw when !(b.c_cost) < !(a.c_cost) ->
-      a.c_cost := !(b.c_cost);
-      a.c_best := Some bw
-    | Some _ | None -> ());
-    a
-  in
-  let run_task ctx acc t =
+  let run_task ctx (acc : Search.counters) t =
     let task_ns = Obs.Clock.now_ns () in
-    let counters = acc.c_counters in
-    let improve cost binding worst =
-      if cost < !(acc.c_cost) then begin
-        acc.c_cost := cost;
-        acc.c_best := Some (binding, worst)
-      end;
-      (* lower the shared incumbent monotonically *)
-      let rec lower () =
-        let cur = Atomic.get incumbent in
-        if cost < cur then
-          if Atomic.compare_and_set incumbent cur cost then begin
-            note_incumbent ();
-            Domain_trace.record_improvement ~cost
-          end
-          else lower ()
-      in
-      lower ()
-    in
     (* Shed the hardware sibling at any branch node while a worker is
        hungry.  The snapshot copies the task's mutable arrays: entries
        beyond node [i] are stale exploration residue, but every path to
        a leaf overwrites its whole suffix before [materialize] reads
-       it, so the thief never observes them. *)
+       it, and the bound check only reads the decided prefix, so the
+       thief never observes them. *)
     let try_split i area any_sw =
       Par.should_split ctx
       && begin
@@ -580,132 +428,67 @@ let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
     (* a shed below [n - 12] ships a subtree of at most [2^12] nodes —
        sub-millisecond work that costs the thief more in claim latency
        than it buys in balance *)
-    search ~try_split ~split_floor:(n - 12) ~should_stop ~sw_first:true
-      ~capacity ~processor_cost ~accept ~nodes ~n ~loads:t.t_loads
-      ~choices:t.t_choices ~counters
-      ~current_bound:(fun () -> Atomic.get incumbent)
-      ~improve t.t_depth t.t_area t.t_any_sw;
+    search ~try_split ~split_floor:(n - 12) ~should_stop ~capacity
+      ~processor_cost ~accept ~nodes ~n ~loads:t.t_loads ~choices:t.t_choices
+      ~counters:acc ~incumbent ~on_improve t.t_depth t.t_area t.t_any_sw;
     (* one span per task: per-domain node throughput shows up in the
        span stream without any per-node cost *)
     Obs.Registry.record_span ~name:"explore.task_ns" ~start_ns:task_ns
       ~dur_ns:(Obs.Clock.elapsed_ns task_ns);
     acc
   in
-  let folded =
-    Par.fold
-      ~cancel:(fun () -> Atomic.get cancelled)
-      ~jobs ~init:acc_init ~merge:acc_merge ~f:run_task tasks
+  let counters =
+    Search.add_counters counters
+      (Par.fold
+         ~cancel:(fun () -> Atomic.get cancelled)
+         ~jobs ~init:Search.zero ~merge:Search.add_counters ~f:run_task tasks)
   in
-  let best = ref !seed_best and best_cost = ref !seed_cost in
-  let counters = prefix_counters in
-  counters.explored <- counters.explored + folded.c_counters.explored;
-  counters.pruned <- counters.pruned + folded.c_counters.pruned;
-  (match !(folded.c_best) with
-  | Some bw when !(folded.c_cost) < !best_cost ->
-    best_cost := !(folded.c_cost);
-    best := Some bw
-  | Some _ | None -> ());
-  (!best, counters, Atomic.get cancelled)
-
-let resolve_jobs = function
-  | 0 -> Par.available_jobs ()
-  | j when j < 0 -> invalid_arg "Explore: negative jobs"
-  | j -> j
+  ((Atomic.get incumbent).Search.best, counters, Atomic.get cancelled)
 
 (* Replay a stored binding against the *current* compiled problem: every
    pinned implementation must be respected, every application
    schedulable, and [accept] satisfied.  Processes the stored binding
    does not cover (the model grew since the record was written) are
-   completed greedily — software when it fits, hardware otherwise — so
-   a partial per-application merge still yields a seed.  The binding is
-   rebuilt over exactly the node set, so stale processes in the stored
-   record neither pollute the cost nor leak into the result.  A warm
-   candidate that fails any check is dropped — warm starts accelerate,
-   they never decide. *)
-let warm_candidate ~capacity ~processor_cost ~accept ~nodes ~n_apps warm =
+   completed greedily, so a partial per-application merge still yields a
+   seed.  The binding is rebuilt over exactly the node set, so stale
+   processes in the stored record neither pollute the cost nor leak into
+   the result.  A warm candidate that fails any check is dropped — warm
+   starts accelerate, they never decide. *)
+let warm_candidate ~capacity ~processor_cost ~accept
+    ~(nodes : Search.node array) ~n_apps warm =
   let n = Array.length nodes in
-  let loads = Array.make n_apps 0 in
-  let sw_fits nd load =
-    let ok = ref true in
-    Array.iter
-      (fun ai ->
-        loads.(ai) <- loads.(ai) + load;
-        if loads.(ai) > capacity then ok := false)
-      nd.members;
-    if !ok then true
-    else begin
-      Array.iter (fun ai -> loads.(ai) <- loads.(ai) - load) nd.members;
-      false
-    end
-  in
-  let rec place i area any_sw b =
-    if i = n then begin
-      let cost = area + if any_sw then processor_cost else 0 in
-      if accept b then Some (cost, b, Array.fold_left max 0 loads) else None
-    end
-    else
-      let nd = nodes.(i) in
-      (* every decision is local and final — one linear pass, no
-         backtracking, so a failure simply drops the candidate *)
-      let hw () =
-        match nd.hw with
-        | Some a ->
-          place (i + 1) (area + a) any_sw (Binding.bind nd.pid Binding.Hw b)
-        | None -> None
-      in
-      match Binding.impl_of nd.pid warm with
-      | Some Binding.Hw -> hw ()
-      | Some Binding.Sw -> (
-        match nd.sw with
-        | Some load when sw_fits nd load ->
-          place (i + 1) area true (Binding.bind nd.pid Binding.Sw b)
-        | Some _ | None -> None)
-      | None -> (
-        (* uncovered: greedy completion, software when it fits *)
-        match nd.sw with
-        | Some load when sw_fits nd load ->
-          place (i + 1) area true (Binding.bind nd.pid Binding.Sw b)
-        | Some _ | None -> hw ())
-  in
-  place 0 0 false Binding.empty
+  Option.bind
+    (complete ~capacity ~processor_cost ~nodes
+       ~pick:(fun i -> Binding.impl_of nodes.(i).pid warm)
+       (Array.make n 0) (Array.make n_apps 0) 0 0 false)
+    (fun (cost, vec, worst) ->
+      let binding = materialize ~nodes ~n vec in
+      if accept binding then Some (cost, vec, binding, worst) else None)
 
-let solve ?(jobs = 1) ?(capacity = Schedule.default_capacity)
-    ?(fixed = Binding.empty) ?(accept = fun _ -> true) ?deadline_ns ?warm
-    tech apps =
-  let jobs = resolve_jobs jobs in
+let solve ?(jobs = 1) ?(capacity = Schedule.default_capacity) ?fixed
+    ?(accept = fun _ -> true) ?deadline_ns ?warm tech apps =
+  let jobs = Par.resolve_jobs jobs in
   let start_ns = Obs.Clock.now_ns () in
   Obs.Metric.incr m_solves;
-  let procs =
-    Array.of_list (I.Process_id.Set.elements (App.union_procs apps))
-  in
   let apps = Array.of_list apps in
-  match compile ~fixed tech apps procs with
-  | exception Diagnosed d -> Error d
+  match Search.nodes ?fixed tech apps with
+  | exception Search.Pinned_unavailable (process, impl) ->
+    Error (Pinned_impl_unavailable { process; impl })
   | nodes ->
     let processor_cost = Tech.processor_cost tech in
-    let n = Array.length nodes in
     let n_apps = Array.length apps in
     let warm =
-      match warm with
-      | None -> None
-      | Some b -> (
-        match
-          warm_candidate ~capacity ~processor_cost ~accept ~nodes ~n_apps b
-        with
-        | Some _ as c ->
-          Obs.Metric.incr m_warm_accepted;
-          c
-        | None ->
-          Obs.Metric.incr m_warm_rejected;
-          None)
+      Option.bind warm (fun b ->
+          let c =
+            warm_candidate ~capacity ~processor_cost ~accept ~nodes ~n_apps b
+          in
+          Obs.Metric.incr
+            (if Option.is_some c then m_warm_accepted else m_warm_rejected);
+          c)
     in
     let best, counters, deadline_hit =
-      if jobs = 1 || n < 4 then
-        solve_seq ~start_ns ~deadline_ns ~warm ~capacity ~processor_cost
-          ~accept ~nodes ~n_apps
-      else
-        solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity
-          ~processor_cost ~accept ~nodes ~n_apps
+      branch_and_bound ~start_ns ~deadline_ns ~warm ~jobs ~capacity
+        ~processor_cost ~accept ~nodes ~n_apps
     in
     if deadline_hit then Obs.Metric.incr m_deadline_hits;
     Obs.Metric.add m_nodes counters.explored;

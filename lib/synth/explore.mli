@@ -7,12 +7,17 @@
     synthesis and superposition.  The explorer is exact: it returns a
     cost-minimal feasible binding when one exists.
 
-    With [jobs > 1] the decision tree is split at a configurable depth
-    into independent subtree tasks, sorted by their lower bound and run
-    on a pool of OCaml 5 domains sharing an atomic incumbent cost for
-    cross-domain pruning.  The optimal cost is identical for every job
-    count; when several bindings attain it, the one returned may
-    differ.  [jobs = 1] is the sequential reference implementation. *)
+    There is one search: the decision tree is split into independent
+    subtree tasks, seeded with greedy completions, ordered
+    cheapest-estimate-first and explored software child first on a
+    {!Par} pool sharing one incumbent for cross-domain pruning.  [jobs]
+    only sizes the pool; at [jobs = 1] the tasks run inline.
+
+    Tie-break: when several bindings attain the optimal cost, the one
+    returned has the lexicographically least decision vector —
+    processes in pid order ({!App.union_procs}), SW before HW (see
+    {!Search}).  The binding is therefore identical for every job
+    count, for warm and cold runs and whatever the steal timing. *)
 
 type solution = {
   binding : Binding.t;
@@ -26,7 +31,8 @@ type solution = {
   degraded : bool;
       (** the deadline expired before the search proved optimality: the
           binding is the best incumbent found, feasible and valid, but a
-          cheaper one may exist.  Always [false] without a deadline. *)
+          cheaper (or a cost-equal canonical) one may exist.  Always
+          [false] without a deadline. *)
 }
 
 type diagnostic =
@@ -55,9 +61,9 @@ val solve :
   Tech.t ->
   App.t list ->
   (solution, diagnostic) result
-(** [jobs] is the domain count: 1 (default) for the sequential
-    reference, [n > 1] for a pool of [n] domains, 0 for the machine's
-    recommended domain count.  [fixed] pins implementations for some
+(** [jobs] is the pool's domain count (default 1; 0 for the machine's
+    recommended domain count, see {!Par.resolve_jobs}); it never changes
+    the answer.  [fixed] pins implementations for some
     processes (used by the incremental baseline).  [accept] is an
     additional feasibility filter evaluated on complete bindings —
     e.g. {!Timing.all_satisfied} partially applied, to demand
@@ -75,10 +81,11 @@ val solve :
     [warm] is a previously found binding (e.g. replayed from the
     exploration store): it is re-validated against the current problem —
     pins, capacity, [accept], with uncovered processes completed
-    greedily — and, when valid, seeds the incumbent so equal-or-worse
-    subtrees prune immediately.  The search
-    still proves optimality, so a warm run returns exactly the costs of
-    a cold one; an invalid warm binding is counted and ignored.
+    greedily — and, when valid, seeds the incumbent so worse subtrees
+    prune immediately.  The search
+    still proves optimality and breaks ties canonically, so a warm run
+    returns exactly the answer of a cold one — cost, binding and worst
+    load; an invalid warm binding is counted and ignored.
     @raise Not_found when an application process is missing from the
     technology library.
     @raise Invalid_argument when [jobs < 0]. *)

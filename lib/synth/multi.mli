@@ -7,11 +7,15 @@
     per-application and per-processor — mutually exclusive variants
     still share every processor they are placed on.
 
-    Like {!Explore}, the search runs on a pool of OCaml 5 domains when
-    [jobs > 1]: the placement tree is split at a configurable depth into
-    independent subtree tasks (each with its own load matrix), sorted by
-    lower bound and pruned against a shared atomic incumbent.  The
-    optimal cost is identical for every job count. *)
+    Like {!Explore}, there is one search: the placement tree is split
+    into independent subtree tasks (each with its own load matrix),
+    sorted by lower bound, seeded by diving the best one, and pruned
+    against a shared incumbent on a {!Par} pool that [jobs] sizes.
+
+    Tie-break: among cost-optimal placements the one returned has the
+    lexicographically least decision vector — processes in pid order,
+    each placed on a processor in processor-list order before [Hw] (see
+    {!Search}) — so the placement is identical for every job count. *)
 
 type processor = {
   id : Spi.Ids.Resource_id.t;
@@ -53,10 +57,10 @@ val optimal :
 (** Cost-minimal feasible placement, exact (branch and bound).  The
     [Tech.t] software load figures apply uniformly to every processor
     (homogeneous execution times; heterogeneous costs/capacities).
-    [jobs] follows the {!Explore.solve} convention: 1 (default)
-    sequential, [n > 1] a pool of [n] domains, 0 the machine's
-    recommended domain count; [accept] must be thread-safe when
-    [jobs > 1].  [deadline_ns] follows {!Explore.solve}: an absolute
+    [jobs] follows the {!Explore.solve} convention: the pool size
+    (default 1, 0 for the machine's recommended domain count), never a
+    different answer; [accept] must be thread-safe when [jobs > 1].
+    [deadline_ns] follows {!Explore.solve}: an absolute
     {!Obs.Clock} reading past which the search stops expanding and
     returns its best incumbent with [degraded = true] ([None] when no
     incumbent was found in time).

@@ -1,5 +1,10 @@
 let available_jobs () = Domain.recommended_domain_count ()
 
+let resolve_jobs = function
+  | 0 -> available_jobs ()
+  | j when j < 0 -> invalid_arg "Par.resolve_jobs: negative jobs"
+  | j -> j
+
 (* Pool observability: a handful of counter bumps and two histogram
    observations per task — nothing per node, so the search loops stay
    allocation- and atomic-free.  [par.task_queue_wait_ns] measures how

@@ -40,6 +40,11 @@ val available_jobs : unit -> int
 (** Domains this machine can usefully run, i.e.
     [Domain.recommended_domain_count ()]. *)
 
+val resolve_jobs : int -> int
+(** The [jobs] convention of every explorer and CLI verb: [0] means
+    {!available_jobs}, any positive count is kept.
+    @raise Invalid_argument when negative. *)
+
 type 'a ctx
 (** A running worker's handle on the pool, passed to {!fold} tasks. *)
 
@@ -62,8 +67,7 @@ val push : 'a ctx -> 'a -> bool
 val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f tasks] applies [f] to every element of [tasks] and
     returns the results in task order.  With [jobs <= 1] (or fewer than
-    two tasks) everything runs in the calling domain — the sequential
-    reference path.  Otherwise [min jobs (Array.length tasks)] domains
+    two tasks) everything runs in the calling domain.  Otherwise [min jobs (Array.length tasks)] domains
     claim tasks best-first through the seed cursor.  The first
     exception raised by any task cancels all tasks not yet started and
     is re-raised after all domains have joined.
@@ -90,7 +94,7 @@ val fold :
     on the calling domain.  [f] must therefore be commutative up to
     [merge] — branch-and-bound folds (min over costs, sums over
     counters) are.  With [jobs = 1] the pool degenerates to an in-order
-    loop over [seeds] with a local LIFO stack for pushes: the sequential
-    reference for the differential tests.  Exception semantics match
+    loop over [seeds] with a local LIFO stack for pushes, in the
+    calling domain.  Exception semantics match
     {!map}.
     @raise Invalid_argument when [jobs < 1]. *)

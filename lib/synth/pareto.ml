@@ -1,36 +1,20 @@
-module I = Spi.Ids
-
 type point = { binding : Binding.t; total_cost : int; worst_load : int }
 
 let dominates a b =
   a.total_cost <= b.total_cost && a.worst_load <= b.worst_load
   && (a.total_cost < b.total_cost || a.worst_load < b.worst_load)
 
-(* Per-process data memoized once (options + application membership),
-   with the per-application loads maintained incrementally during the
-   enumeration — a leaf costs O(applications) instead of a full
-   schedulability check.  A partial assignment is abandoned as soon as
-   one application's load exceeds capacity: software loads only grow,
-   so no completion can be feasible. *)
-type node = {
-  pid : I.Process_id.t;
-  sw : int option;
-  hw : int option;
-  members : int array;
-}
-
-let enumerate ~capacity ~processor_cost ~nodes ~n ~loads start binding0 area0
-    any_sw0 =
-  let points = ref [] in
+(* Depth-first walk over decisions [i .. stop - 1], software child
+   first, calling [leaf binding area any_sw] at depth [stop] while
+   [loads] holds that prefix's per-application loads.  Loads are
+   maintained incrementally — a leaf costs O(applications) instead of a
+   full schedulability check — and a partial assignment is abandoned as
+   soon as one application's load exceeds capacity: software loads only
+   grow, so no completion can be feasible. *)
+let walk ~capacity ~(nodes : Search.node array) ~loads ~stop ~leaf i binding
+    area any_sw =
   let rec go i binding area any_sw =
-    if i = n then
-      points :=
-        {
-          binding;
-          total_cost = (area + if any_sw then processor_cost else 0);
-          worst_load = Array.fold_left max 0 loads;
-        }
-        :: !points
+    if i = stop then leaf binding area any_sw
     else begin
       let nd = nodes.(i) in
       (match nd.sw with
@@ -49,8 +33,7 @@ let enumerate ~capacity ~processor_cost ~nodes ~n ~loads start binding0 area0
       | None -> ()
     end
   in
-  go start binding0 area0 any_sw0;
-  !points
+  go i binding area any_sw
 
 type task = {
   t_binding : Binding.t;
@@ -64,114 +47,70 @@ let m_points = Obs.Registry.counter "pareto.points"
 let m_tasks = Obs.Registry.counter "pareto.tasks"
 
 let frontier ?(jobs = 1) ?(capacity = Schedule.default_capacity) tech apps =
-  let jobs = match jobs with
-    | 0 -> Par.available_jobs ()
-    | j when j < 0 -> invalid_arg "Pareto: negative jobs"
-    | j -> j
-  in
+  let jobs = Par.resolve_jobs jobs in
   let start_ns = Obs.Clock.now_ns () in
   Obs.Metric.incr m_frontiers;
   let apps_arr = Array.of_list apps in
-  let n_apps = Array.length apps_arr in
-  let nodes =
-    Array.map
-      (fun pid ->
-        let o = Tech.options_of tech pid in
-        let hits = ref [] in
-        Array.iteri
-          (fun i (a : App.t) ->
-            if I.Process_id.Set.mem pid a.App.procs then hits := i :: !hits)
-          apps_arr;
-        {
-          pid;
-          sw = Option.map (fun s -> s.Tech.load) o.Tech.sw;
-          hw = Option.map (fun h -> h.Tech.area) o.Tech.hw;
-          members = Array.of_list (List.rev !hits);
-        })
-      (Array.of_list (I.Process_id.Set.elements (App.union_procs apps)))
-  in
+  let nodes = Search.nodes tech apps_arr in
   let n = Array.length nodes in
   let processor_cost = Tech.processor_cost tech in
+  (* split the first decisions into independent subtree tasks *)
+  let depth =
+    let target = jobs * 8 in
+    let rec go d = if 1 lsl d >= target || d >= 10 then d else go (d + 1) in
+    max 0 (min (n - 2) (go 0))
+  in
+  let tasks = ref [] in
+  let loads = Array.make (Array.length apps_arr) 0 in
+  walk ~capacity ~nodes ~loads ~stop:depth
+    ~leaf:(fun binding area any_sw ->
+      tasks :=
+        { t_binding = binding; t_area = area; t_any_sw = any_sw;
+          t_loads = Array.copy loads }
+        :: !tasks)
+    0 Binding.empty 0 false;
+  Obs.Metric.add m_tasks (List.length !tasks);
+  let results =
+    Par.map ~jobs
+      (fun t ->
+        let points = ref [] in
+        walk ~capacity ~nodes ~loads:t.t_loads ~stop:n
+          ~leaf:(fun binding area any_sw ->
+            points :=
+              {
+                binding;
+                total_cost = (area + if any_sw then processor_cost else 0);
+                worst_load = Array.fold_left max 0 t.t_loads;
+              }
+              :: !points)
+          depth t.t_binding t.t_area t.t_any_sw;
+        !points)
+      (Array.of_list !tasks)
+  in
+  (* Sorted by cost, then load, then the canonical binding order (see
+     {!Binding.compare}), a point is on the frontier exactly when its
+     load is below every load seen before it: that drops dominated
+     points and keeps, for each objective vector, its lex-least binding
+     as the representative — whatever order the tasks returned in. *)
   let all =
-    if jobs = 1 || n < 4 then
-      enumerate ~capacity ~processor_cost ~nodes ~n
-        ~loads:(Array.make n_apps 0) 0 Binding.empty 0 false
-    else begin
-      (* split the first decisions into independent subtree tasks *)
-      let depth =
-        let target = jobs * 8 in
-        let rec go d = if 1 lsl d >= target || d >= 10 then d else go (d + 1) in
-        min (n - 2) (go 0)
-      in
-      let tasks = ref [] in
-      let loads = Array.make n_apps 0 in
-      let rec prefixes i binding area any_sw =
-        if i = depth then
-          tasks :=
-            {
-              t_binding = binding;
-              t_area = area;
-              t_any_sw = any_sw;
-              t_loads = Array.copy loads;
-            }
-            :: !tasks
-        else begin
-          let nd = nodes.(i) in
-          (match nd.sw with
-          | Some load ->
-            let ok = ref true in
-            Array.iter
-              (fun ai ->
-                loads.(ai) <- loads.(ai) + load;
-                if loads.(ai) > capacity then ok := false)
-              nd.members;
-            if !ok then
-              prefixes (i + 1) (Binding.bind nd.pid Binding.Sw binding) area true;
-            Array.iter (fun ai -> loads.(ai) <- loads.(ai) - load) nd.members
-          | None -> ());
-          match nd.hw with
-          | Some a ->
-            prefixes (i + 1) (Binding.bind nd.pid Binding.Hw binding) (area + a)
-              any_sw
-          | None -> ()
-        end
-      in
-      prefixes 0 Binding.empty 0 false;
-      Obs.Metric.add m_tasks (List.length !tasks);
-      let results =
-        Par.map ~jobs
-          (fun t ->
-            enumerate ~capacity ~processor_cost ~nodes ~n ~loads:t.t_loads
-              depth t.t_binding t.t_area t.t_any_sw)
-          (Array.of_list !tasks)
-      in
-      Array.fold_left (fun acc pts -> List.rev_append pts acc) [] results
-    end
-  in
-  let non_dominated =
-    List.filter
-      (fun p -> not (List.exists (fun q -> dominates q p) all))
-      all
-  in
-  (* deduplicate equal objective vectors, keep one representative *)
-  let dedup =
-    List.fold_left
-      (fun acc p ->
-        if
-          List.exists
-            (fun q -> q.total_cost = p.total_cost && q.worst_load = p.worst_load)
-            acc
-        then acc
-        else p :: acc)
-      [] non_dominated
-  in
-  let frontier_points =
     List.sort
       (fun a b ->
         match Int.compare a.total_cost b.total_cost with
-        | 0 -> Int.compare a.worst_load b.worst_load
+        | 0 -> (
+          match Int.compare a.worst_load b.worst_load with
+          | 0 -> Binding.compare a.binding b.binding
+          | c -> c)
         | c -> c)
-      dedup
+      (Array.fold_left (fun acc pts -> List.rev_append pts acc) [] results)
+  in
+  let frontier_points =
+    List.rev
+      (fst
+         (List.fold_left
+            (fun (kept, min_load) p ->
+              if p.worst_load < min_load then (p :: kept, p.worst_load)
+              else (kept, min_load))
+            ([], max_int) all))
   in
   Obs.Metric.add m_points (List.length frontier_points);
   Obs.Registry.record_span ~name:"pareto.frontier_ns" ~start_ns

@@ -16,10 +16,12 @@ type point = {
 val frontier : ?jobs:int -> ?capacity:int -> Tech.t -> App.t list -> point list
 (** Pareto-optimal feasible bindings, sorted by increasing cost (and
     hence decreasing load).  Dominated and duplicate-valued points are
-    removed.  Empty when no feasible binding exists.  [jobs] follows
-    the {!Explore.solve} convention (1 sequential, [n > 1] domains, 0
-    auto): the enumeration splits into independent subtree tasks; the
-    objective vectors returned are identical for every job count. *)
+    removed.  Empty when no feasible binding exists.  Each objective
+    vector is represented by its lexicographically least binding
+    ({!Binding.compare}, the explorers' tie-break), so the frontier —
+    vectors and representatives — is identical for every job count.
+    [jobs] follows the {!Explore.solve} convention: it sizes the pool
+    the subtree tasks run on (default 1, 0 auto). *)
 
 val dominates : point -> point -> bool
 (** [dominates a b] when [a] is no worse on both axes and better on at

@@ -24,6 +24,8 @@ val superpose :
   ?jobs:int -> ?capacity:int -> Tech.t -> App.t list -> result option
 (** [None] when any single application is infeasible on its own.
     [jobs] is forwarded to each per-application {!Explore.optimal}
-    call (same convention: 1 sequential, [n > 1] domains, 0 auto). *)
+    call (same convention: the pool size, 0 auto); every per-application
+    answer is canonical, so the superposition is identical for every
+    job count. *)
 
 val pp_result : Format.formatter -> result -> unit

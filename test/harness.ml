@@ -1,6 +1,7 @@
 (* Shared workload builders for the synthesis test-suite: seeded random
-   instances for every explorer entry point, plus job-count sweep
-   helpers.  Every builder is deterministic in [seed] so failures
+   and tie-prone instances for every explorer entry point, brute-force
+   lex-least oracles, and the job counts every explorer must agree
+   across.  Every builder is deterministic in [seed] so failures
    reported by qcheck shrink to a reproducible instance. *)
 
 module I = Spi.Ids
@@ -92,16 +93,251 @@ let random_multi_instance ~n ~n_cpu ~seed =
   in
   (tech, procs, apps)
 
-(* Job-count sweeps.  [sweep_jobs] runs [f jobs] for each count and
-   conjoins the results — for use inside qcheck properties.  The
-   default sweep covers the odd worker (3) and oversubscription (8)
-   beyond the physical core count of small CI machines. *)
-let default_jobs = [ 2; 4; 8 ]
+(* Tie-prone instances: hardware areas of 1–3, software loads from
+   {10, 20, 30} and a processor cost of 1–3, so many bindings share the
+   optimal cost.  Random instances rarely tie; these tie all the time,
+   which is the regime where an explorer that only proves the optimal
+   {e cost} may return any of several bindings.  [n] may be 0–10. *)
+let tie_prone_options rng =
+  let load = 10 * (1 + Random.State.int rng 3)
+  and area = 1 + Random.State.int rng 3 in
+  match Random.State.int rng 6 with
+  | 0 -> Synth.Tech.sw_only ~load
+  | 1 -> Synth.Tech.hw_only ~area
+  | _ -> Synth.Tech.both ~load ~area
 
-let sweep_jobs ?(jobs = default_jobs) f = List.for_all f jobs
+let tie_prone_apps rng pids =
+  match pids with
+  | [] -> [ Synth.App.make "a0" [] ]
+  | first :: _ ->
+    List.init (1 + Random.State.int rng 3) (fun i ->
+        Synth.App.make
+          (Format.sprintf "a%d" i)
+          (match List.filter (fun _ -> Random.State.int rng 3 > 0) pids with
+          | [] -> [ first ]
+          | s -> s))
 
-let check_sweep ?(jobs = default_jobs) name f =
-  List.iter (fun j -> Alcotest.(check bool) (Format.sprintf "%s, jobs=%d" name j) true (f j)) jobs
+let tie_prone_instance ~n ~seed =
+  let rng = seeded seed in
+  let pids = List.init n (fun i -> pid (Format.sprintf "t%d" i)) in
+  let tech =
+    Synth.Tech.make
+      ~processor_cost:(1 + Random.State.int rng 3)
+      (List.map (fun p -> (p, tie_prone_options rng)) pids)
+  in
+  (tech, tie_prone_apps rng pids)
+
+(* The multi-processor counterpart: processors of equal or near-equal
+   cost (1–3) tie on which processor hosts a process, too. *)
+let tie_prone_multi_instance ~n ~n_cpu ~seed =
+  let rng = seeded seed in
+  let tech, apps = tie_prone_instance ~n ~seed:(seed lxor 0x2545f491) in
+  let procs =
+    List.init n_cpu (fun c ->
+        Synth.Multi.processor
+          ~name:(Format.sprintf "cpu%d" c)
+          ~capacity:(30 + (10 * Random.State.int rng 5))
+          ~cost:(1 + Random.State.int rng 3))
+  in
+  (tech, procs, apps)
+
+(* ------------------- brute-force lex-least oracles ------------------- *)
+
+(* Printed forms: comparing them needs no equality from the code under
+   test. *)
+let binding_str b = Format.asprintf "%a" Synth.Binding.pp b
+
+(* Every binding of [apps]' processes, in the explorers' canonical order
+   (pid order, SW before HW), that passes {!Synth.Schedule.check} —
+   independent of the explorers' bookkeeping. *)
+let feasible_bindings ?(capacity = Synth.Schedule.default_capacity) tech apps =
+  let out = ref [] in
+  let rec go procs binding =
+    match procs with
+    | [] ->
+      if
+        Synth.Schedule.is_feasible
+          (Synth.Schedule.check ~capacity tech binding apps)
+      then out := binding :: !out
+    | p :: rest ->
+      let o = Synth.Tech.options_of tech p in
+      if Option.is_some o.Synth.Tech.sw then
+        go rest (Synth.Binding.bind p Synth.Binding.Sw binding);
+      if Option.is_some o.Synth.Tech.hw then
+        go rest (Synth.Binding.bind p Synth.Binding.Hw binding)
+  in
+  go (I.Process_id.Set.elements (Synth.App.union_procs apps)) Synth.Binding.empty;
+  List.rev !out
+
+(* The first binding of least cost in canonical order: the one every
+   explorer must return.  [None] when infeasible. *)
+let lex_least_optimum ?capacity tech apps =
+  List.fold_left
+    (fun best b ->
+      let c = Synth.Cost.total tech b in
+      match best with
+      | Some (bc, _) when bc <= c -> best
+      | Some _ | None -> Some (c, b))
+    None
+    (feasible_bindings ?capacity tech apps)
+
+(* A cost-optimal binding other than the canonical one — the next in
+   canonical order — for warm starts that seed a different optimum.
+   Not the last one: a hardware-first search meets that one first, so
+   seeding it could not tell such a search from a canonical one.
+   [None] when the optimum is unique or the instance infeasible. *)
+let other_optimum ?capacity tech apps =
+  match lex_least_optimum ?capacity tech apps with
+  | None -> None
+  | Some (c, canonical) ->
+    List.find_opt
+      (fun b ->
+        Synth.Cost.total tech b = c && binding_str b <> binding_str canonical)
+      (feasible_bindings ?capacity tech apps)
+
+let worst_app_load tech binding apps =
+  List.fold_left
+    (fun acc a -> max acc (Synth.Schedule.app_load tech binding a))
+    0 apps
+
+(* The Pareto frontier by enumeration: non-dominated (cost, worst load)
+   vectors sorted by cost, each represented by its first binding in
+   canonical order. *)
+let pareto_oracle ?capacity tech apps =
+  let points =
+    List.map
+      (fun b -> (Synth.Cost.total tech b, worst_app_load tech b apps, b))
+      (feasible_bindings ?capacity tech apps)
+  in
+  let dominated (c, l, _) =
+    List.exists (fun (c', l', _) -> c' <= c && l' <= l && (c' < c || l' < l)) points
+  in
+  let firsts =
+    List.fold_left
+      (fun acc ((c, l, _) as p) ->
+        if List.exists (fun (c', l', _) -> c = c' && l = l') acc then acc
+        else p :: acc)
+      []
+      (List.filter (fun p -> not (dominated p)) points)
+  in
+  List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) firsts
+
+(* Multi-processor oracle: placements in canonical order (software on
+   each processor in list order, then HW); a processor is paid once
+   anything runs on it, and every (application, processor) load must
+   fit the processor's capacity. *)
+let lex_least_multi tech (procs : Synth.Multi.processor list) apps =
+  let best = ref None in
+  let cost_and_fit placed =
+    let area =
+      List.fold_left
+        (fun acc (p, pl) ->
+          match pl with
+          | Synth.Multi.Hw ->
+            acc + (Option.get (Synth.Tech.options_of tech p).Synth.Tech.hw).Synth.Tech.area
+          | Synth.Multi.Sw_on _ -> acc)
+        0 placed
+    in
+    let on cpu (_, pl) =
+      match pl with
+      | Synth.Multi.Sw_on r -> I.Resource_id.equal r cpu.Synth.Multi.id
+      | Synth.Multi.Hw -> false
+    in
+    let cpus =
+      List.fold_left
+        (fun acc cpu ->
+          if List.exists (on cpu) placed then acc + cpu.Synth.Multi.cost else acc)
+        0 procs
+    in
+    let fits =
+      List.for_all
+        (fun (a : Synth.App.t) ->
+          List.for_all
+            (fun cpu ->
+              List.fold_left
+                (fun acc ((p, _) as x) ->
+                  if I.Process_id.Set.mem p a.Synth.App.procs && on cpu x then
+                    acc
+                    + (Option.get (Synth.Tech.options_of tech p).Synth.Tech.sw)
+                        .Synth.Tech.load
+                  else acc)
+                0 placed
+              <= cpu.Synth.Multi.capacity)
+            procs)
+        apps
+    in
+    (area + cpus, fits)
+  in
+  let rec go pids placed =
+    match pids with
+    | [] ->
+      let cost, fits = cost_and_fit placed in
+      if fits then begin
+        match !best with
+        | Some (bc, _) when bc <= cost -> ()
+        | Some _ | None ->
+          best :=
+            Some
+              ( cost,
+                List.fold_left
+                  (fun m (p, pl) -> I.Process_id.Map.add p pl m)
+                  I.Process_id.Map.empty placed )
+      end
+    | p :: rest ->
+      let o = Synth.Tech.options_of tech p in
+      if Option.is_some o.Synth.Tech.sw then
+        List.iter
+          (fun cpu -> go rest ((p, Synth.Multi.Sw_on cpu.Synth.Multi.id) :: placed))
+          procs;
+      if Option.is_some o.Synth.Tech.hw then go rest ((p, Synth.Multi.Hw) :: placed)
+  in
+  go (I.Process_id.Set.elements (Synth.App.union_procs apps)) [];
+  !best
+
+(* Printed form of a multi-processor binding, as [binding_str]. *)
+let multi_binding_str b =
+  String.concat ", "
+    (List.map
+       (fun (p, pl) ->
+         Format.asprintf "%a:%a" I.Process_id.pp p Synth.Multi.pp_placement pl)
+       (I.Process_id.Map.bindings b))
+
+(* The whole answer of each explorer as one comparable value. *)
+let explore_answer = function
+  | None -> None
+  | Some s ->
+    Some
+      ( s.Synth.Explore.cost.Synth.Cost.total,
+        binding_str s.Synth.Explore.binding,
+        s.Synth.Explore.worst_load )
+
+let multi_answer = function
+  | None -> None
+  | Some s ->
+    Some
+      ( s.Synth.Multi.total_cost,
+        multi_binding_str s.Synth.Multi.binding,
+        List.map
+          (fun (r, l) -> (I.Resource_id.to_string r, l))
+          s.Synth.Multi.worst_load )
+
+let pareto_answer pts =
+  List.map
+    (fun p ->
+      ( p.Synth.Pareto.total_cost,
+        p.Synth.Pareto.worst_load,
+        binding_str p.Synth.Pareto.binding ))
+    pts
+
+(* The job counts every explorer must agree across: the inline pool,
+   two and four domains, and oversubscription (8). *)
+let all_jobs = [ 1; 2; 4; 8 ]
+
+(* [agree f] — [f jobs] is identical for every count in [all_jobs]. *)
+let agree f =
+  match List.map f all_jobs with
+  | [] -> true
+  | first :: rest -> List.for_all (fun x -> x = first) rest
 
 (* Pool workload that forces at least one steal, deterministically: the
    single seed task pushes [children] subtasks onto its own deque and
@@ -127,16 +363,6 @@ let force_steals ~jobs ~children () =
         Atomic.incr children_run;
         acc + 1)
     [| `Seed |]
-
-(* Total cost of an Explore solution option, [max_int] for None — a
-   single comparable scalar for differential properties. *)
-let explore_cost = function
-  | None -> max_int
-  | Some s -> s.Synth.Explore.cost.Synth.Cost.total
-
-let multi_cost = function
-  | None -> max_int
-  | Some s -> s.Synth.Multi.total_cost
 
 (* ------------------- simulation workloads (Compile) ------------------ *)
 

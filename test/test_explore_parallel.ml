@@ -1,6 +1,6 @@
-(* Tests for the parallel exploration path: parallel/sequential cost
-   equivalence on random instances, counter aggregation, and the
-   structured diagnostics of {!Synth.Explore.solve}. *)
+(* Tests for the exploration pool: identical answers (cost and binding)
+   for every job count on random instances, counter aggregation, and
+   the structured diagnostics of {!Synth.Explore.solve}. *)
 
 module I = Spi.Ids
 module F2 = Paper.Figure2
@@ -10,29 +10,63 @@ let pid = I.Process_id.of_string
 (* Workload builders live in the shared {!Harness}. *)
 let random_instance = Harness.random_instance
 
-(* The optimal cost must be identical for every job count, and the
-   parallel binding must itself be feasible at that cost: schedulable
-   in every application and priced at the reported total. *)
+(* The whole answer — cost, binding, worst load — must be identical for
+   every job count, it must be the brute-force lex-least optimum, and
+   the binding must be feasible at the reported cost.  n = 1–3 rows
+   exercise the clamped split (a single root task). *)
 let prop_parallel_matches_sequential =
   QCheck.Test.make ~name:"jobs=2/4 find the sequential optimum" ~count:40
-    QCheck.(pair (int_range 4 10) (int_range 0 1000))
+    QCheck.(pair (int_range 1 10) (int_range 0 1000))
     (fun (n, seed) ->
       let tech, apps = random_instance ~n ~seed in
       let seq = Synth.Explore.optimal ~jobs:1 tech apps in
-      Harness.sweep_jobs ~jobs:[ 2; 4 ]
+      List.for_all
         (fun jobs ->
           let par = Synth.Explore.optimal ~jobs tech apps in
-          match (seq, par) with
-          | None, None -> true
-          | Some s, Some p ->
-            let sc = s.Synth.Explore.cost.Synth.Cost.total
-            and pc = p.Synth.Explore.cost.Synth.Cost.total in
-            sc = pc
-            && Synth.Schedule.is_feasible
-                 (Synth.Schedule.check tech p.Synth.Explore.binding apps)
+          Harness.explore_answer par = Harness.explore_answer seq
+          &&
+          match par with
+          | None -> true
+          | Some p ->
+            Synth.Schedule.is_feasible
+              (Synth.Schedule.check tech p.Synth.Explore.binding apps)
             && (Synth.Cost.of_binding tech p.Synth.Explore.binding)
-                 .Synth.Cost.total = pc
-          | Some _, None | None, Some _ -> false))
+                 .Synth.Cost.total = p.Synth.Explore.cost.Synth.Cost.total)
+        [ 2; 4 ]
+      && (n > 9
+         || Option.map
+              (fun (s : Synth.Explore.solution) ->
+                (s.Synth.Explore.cost.Synth.Cost.total,
+                 Harness.binding_str s.Synth.Explore.binding))
+              seq
+            = Option.map
+                (fun (c, b) -> (c, Harness.binding_str b))
+                (Harness.lex_least_optimum tech apps)))
+
+(* Problems of 0–3 processes split into a single root task; every job
+   count must still return the lex-least optimum. *)
+let test_tiny_problems () =
+  for n = 0 to 3 do
+    for seed = 0 to 49 do
+      let tech, apps = Harness.tie_prone_instance ~n ~seed in
+      let expected =
+        Option.map
+          (fun (c, b) -> (c, Harness.binding_str b))
+          (Harness.lex_least_optimum tech apps)
+      in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (option (pair int string)))
+            (Format.sprintf "n=%d seed=%d jobs=%d" n seed jobs)
+            expected
+            (Option.map
+               (fun (s : Synth.Explore.solution) ->
+                 (s.Synth.Explore.cost.Synth.Cost.total,
+                  Harness.binding_str s.Synth.Explore.binding))
+               (Synth.Explore.optimal ~jobs tech apps)))
+        Harness.all_jobs
+    done
+  done
 
 let test_parallel_counters () =
   let tech, apps = random_instance ~n:10 ~seed:7 in
@@ -150,8 +184,46 @@ let test_table1_parallel () =
       let s = Synth.Explore.optimal_exn ~jobs F2.table1_tech [ F2.app1; F2.app2 ] in
       Alcotest.(check int)
         (Format.sprintf "jobs=%d" jobs)
-        41 s.Synth.Explore.cost.Synth.Cost.total)
-    [ 1; 2; 4 ]
+        41 s.Synth.Explore.cost.Synth.Cost.total;
+      Alcotest.(check string)
+        (Format.sprintf "jobs=%d binding" jobs)
+        "PA:HW, PB:SW, cluster:g1:SW, cluster:g2:SW"
+        (Harness.binding_str s.Synth.Explore.binding))
+    Harness.all_jobs
+
+(* Table 1 with PA's hardware area raised to 30 ties at cost 45:
+   {PA:HW} (30 + 15) and {PA:SW, PB:HW} (15 + 30).  The decision order
+   is PA < PB < cluster:g1 < cluster:g2 and SW precedes HW, so the
+   canonical answer puts PA in software — for every job count, and warm
+   from the other optimum too. *)
+let test_table1_tie () =
+  let tech =
+    Synth.Tech.with_options F2.pa (Synth.Tech.both ~load:40 ~area:30)
+      F2.table1_tech
+  in
+  let apps = [ F2.app1; F2.app2 ] in
+  let canonical = "PA:SW, PB:HW, cluster:g1:SW, cluster:g2:SW" in
+  let other =
+    Synth.Binding.of_list
+      [
+        (F2.pa, Synth.Binding.Hw); (F2.pb, Synth.Binding.Sw);
+        (F2.unit_g1, Synth.Binding.Sw); (F2.unit_g2, Synth.Binding.Sw);
+      ]
+  in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun (how, warm) ->
+          match Synth.Explore.solve ~jobs ?warm tech apps with
+          | Error _ -> Alcotest.fail "feasible instance"
+          | Ok s ->
+            Alcotest.(check (pair int string))
+              (Format.sprintf "jobs=%d %s" jobs how)
+              (45, canonical)
+              (s.Synth.Explore.cost.Synth.Cost.total,
+               Harness.binding_str s.Synth.Explore.binding))
+        [ ("cold", None); ("warm from {PA:HW}", Some other) ])
+    Harness.all_jobs
 
 let suite =
   ( "explore-parallel",
@@ -166,4 +238,6 @@ let suite =
       Alcotest.test_case "pinned diagnostic, parallel" `Quick
         test_pinned_diagnostic_parallel;
       Alcotest.test_case "table1 across job counts" `Quick test_table1_parallel;
+      Alcotest.test_case "table1 tie at PA area 30" `Quick test_table1_tie;
+      Alcotest.test_case "tiny problems (n = 0-3)" `Quick test_tiny_problems;
     ] )

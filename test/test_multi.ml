@@ -90,37 +90,48 @@ let test_heterogeneous_capacity () =
     Alcotest.(check (list string)) "placed on the big one" [ "big" ]
       (List.map I.Resource_id.to_string s.Synth.Multi.processors_used)
 
-(* Parallel/sequential consistency over the shared harness builders:
-   the work-stealing path must land on the sequential optimum and the
-   reported processor set must price to the reported total. *)
+(* Job-count consistency over the shared harness builders: every job
+   count returns the whole sequential answer (cost, placement, loads),
+   that answer is the brute-force lex-least placement, and the reported
+   processor set prices to the reported total.  n = 1–3 rows exercise
+   the clamped split. *)
 let prop_parallel_matches_sequential =
   QCheck.Test.make ~name:"multi: parallel finds the sequential optimum"
     ~count:30
-    QCheck.(triple (int_range 4 8) (int_range 1 2) (int_range 0 1000))
+    QCheck.(triple (int_range 1 8) (int_range 1 2) (int_range 0 1000))
     (fun (n, n_cpu, seed) ->
       let tech, procs, apps = Harness.random_multi_instance ~n ~n_cpu ~seed in
       let seq = Synth.Multi.optimal ~jobs:1 tech procs apps in
-      Harness.sweep_jobs ~jobs:[ 2; 4 ] (fun jobs ->
+      List.for_all
+        (fun jobs ->
           let par = Synth.Multi.optimal ~jobs tech procs apps in
-          match (seq, par) with
-          | None, None -> true
-          | Some s, Some p ->
-            s.Synth.Multi.total_cost = p.Synth.Multi.total_cost
-            && p.Synth.Multi.asic_area
-                 + List.fold_left
-                     (fun acc r ->
-                       acc
-                       + (match
-                            List.find_opt
-                              (fun (pr : Synth.Multi.processor) ->
-                                I.Resource_id.equal pr.Synth.Multi.id r)
-                              procs
-                          with
-                         | Some pr -> pr.Synth.Multi.cost
-                         | None -> max_int))
-                     0 p.Synth.Multi.processors_used
-               = p.Synth.Multi.total_cost
-          | Some _, None | None, Some _ -> false))
+          Harness.multi_answer par = Harness.multi_answer seq
+          &&
+          match par with
+          | None -> true
+          | Some p ->
+            p.Synth.Multi.asic_area
+            + List.fold_left
+                (fun acc r ->
+                  acc
+                  + (match
+                       List.find_opt
+                         (fun (pr : Synth.Multi.processor) ->
+                           I.Resource_id.equal pr.Synth.Multi.id r)
+                         procs
+                     with
+                    | Some pr -> pr.Synth.Multi.cost
+                    | None -> max_int))
+                0 p.Synth.Multi.processors_used
+            = p.Synth.Multi.total_cost)
+        [ 2; 4; 8 ]
+      && Option.map
+           (fun (s : Synth.Multi.solution) ->
+             (s.Synth.Multi.total_cost, Harness.multi_binding_str s.Synth.Multi.binding))
+           seq
+         = Option.map
+             (fun (c, b) -> (c, Harness.multi_binding_str b))
+             (Harness.lex_least_multi tech procs apps))
 
 let test_processor_validation () =
   (try

@@ -174,6 +174,17 @@ let cost_of response =
   | Some c -> J.to_string c
   | None -> Alcotest.failf "no cost in %s" (J.to_string response)
 
+(* The parts of a synthesize response that must not depend on the
+   store: cost, binding and worst load. *)
+let answer_of response =
+  String.concat " | "
+    (List.map
+       (fun field ->
+         match J.member field response with
+         | Some v -> J.to_string v
+         | None -> Alcotest.failf "no %s in %s" field (J.to_string response))
+       [ "cost"; "binding"; "worst_load" ])
+
 let test_handler_warm_equals_cold () =
   let path = tmp_store () in
   Fun.protect
@@ -202,11 +213,70 @@ let test_handler_warm_equals_cold () =
       Store.Keyed.close store;
       Alcotest.(check (option bool)) "second run is warm" (Some true)
         (Option.bind (J.member "warm" warm) J.to_bool);
-      (* the acceptance differential: warm costs byte-identical to cold *)
+      (* the acceptance differential: warm answers byte-identical to
+         cold — cost, binding and worst load *)
       Alcotest.(check string) "warm cost == cold cost" (cost_of cold)
         (cost_of warm);
-      Alcotest.(check string) "store-first cost == cold cost" (cost_of cold)
-        (cost_of first))
+      Alcotest.(check string) "warm answer == cold answer" (answer_of cold)
+        (answer_of warm);
+      Alcotest.(check string) "store-first answer == cold answer"
+        (answer_of cold) (answer_of first))
+
+(* Three optima of cost 15 (processor 5 + one of p1..p3 in hardware at
+   area 10): software loads sum to 130, and moving any one 40-load
+   process to hardware fits the rest under 100.  The canonical answer
+   keeps p1 and p2 in software and moves p3. *)
+let tie_tech_source =
+  {|tech t {
+  processor 5
+  impl p1 sw 40 hw 10
+  impl p2 sw 40 hw 10
+  impl p3 sw 40 hw 10
+  impl p4 sw 5 hw 50
+  impl p5 sw 5 hw 50
+}
+|}
+
+(* A journaled record holding a different optimum of equal cost — e.g.
+   written by an older daemon — must not change the answer: the warm
+   response is byte-identical to the cold one. *)
+let test_handler_warm_other_optimum () =
+  let path = tmp_store () in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let synth =
+        plain
+          (P.Synthesize
+             { model = model_source; tech = tie_tech_source; capacity = None })
+      in
+      let cold = handle synth in
+      Alcotest.(check (option string)) "canonical cold binding"
+        (Some {|[["p1","sw"],["p2","sw"],["p3","hw"],["p4","sw"],["p5","sw"]]|})
+        (Option.map J.to_string (J.member "binding" cold));
+      let tech = Lang.Tech_file.of_string tie_tech_source in
+      let apps = Synth.App.of_system (Lang.Parser.system_of_string model_source) in
+      let other =
+        Synth.Binding.of_list
+          (List.map
+             (fun (p, i) -> (Spi.Ids.Process_id.of_string p, i))
+             [ ("p1", Synth.Binding.Hw); ("p2", Synth.Binding.Sw);
+               ("p3", Synth.Binding.Sw); ("p4", Synth.Binding.Sw);
+               ("p5", Synth.Binding.Sw) ])
+      in
+      let store, _ = Store.Keyed.open_store ~fsync:false path in
+      (match Synth.Explore.solve tech apps with
+      | Ok s ->
+        Synth.Bound_store.remember store tech apps
+          { s with Synth.Explore.binding = other }
+      | Error _ -> Alcotest.fail "feasible instance");
+      let t = Serve.Handler.create ~store ~jobs:1 () in
+      let warm = handle ~handler:t synth in
+      Store.Keyed.close store;
+      Alcotest.(check (option bool)) "warm from the other optimum" (Some true)
+        (Option.bind (J.member "warm" warm) J.to_bool);
+      Alcotest.(check string) "warm answer == cold answer" (answer_of cold)
+        (answer_of warm))
 
 let test_handler_batch () =
   let t = Serve.Handler.create ~jobs:2 () in
@@ -698,6 +768,8 @@ let suite =
         test_handler_idempotency;
       Alcotest.test_case "handler warm equals cold" `Quick
         test_handler_warm_equals_cold;
+      Alcotest.test_case "handler warm from another optimum" `Quick
+        test_handler_warm_other_optimum;
       Alcotest.test_case "handler batch fan-out" `Quick test_handler_batch;
       Alcotest.test_case "handler shutdown request" `Quick
         test_handler_shutdown;

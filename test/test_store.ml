@@ -189,9 +189,10 @@ let test_bound_store_keys_stable () =
   let a2 = Synth.Bound_store.app_key tech F2.app2 in
   Alcotest.(check bool) "apps have distinct keys" true (a1 <> a2)
 
-(* The acceptance differential: synthesis costs out of a warm cache are
-   byte-identical to a cold run — the warm binding only seeds the
-   incumbent, the search still proves optimality. *)
+(* The acceptance differential: synthesis answers out of a warm cache —
+   cost, binding and worst load — are identical to a cold run: the warm
+   binding only seeds the incumbent, the search still proves optimality
+   and breaks ties canonically. *)
 let test_warm_equals_cold () =
   with_tmp (fun path ->
       let cold =
@@ -218,10 +219,52 @@ let test_warm_equals_cold () =
                ("p", J.Int warm.Synth.Explore.cost.Synth.Cost.processor) ]));
       Alcotest.(check int) "identical worst load"
         cold.Synth.Explore.worst_load warm.Synth.Explore.worst_load;
+      Alcotest.(check string) "identical binding"
+        (Harness.binding_str cold.Synth.Explore.binding)
+        (Harness.binding_str warm.Synth.Explore.binding);
       Alcotest.(check bool) "warm run is not degraded" false
         warm.Synth.Explore.degraded;
       Alcotest.(check bool) "warm run explores no more than cold" true
         (warm.Synth.Explore.explored <= cold.Synth.Explore.explored))
+
+(* The stored binding may be a {e different} optimum of equal cost — a
+   record written before ties were broken canonically, or by a solve
+   over an edited model.  The warm answer must still be the cold one.
+   Tie-prone instances are scanned for ones with several optima (36 of
+   these 200 seeds), and the last optimum in canonical order is
+   journaled as the record. *)
+let test_warm_other_optimum () =
+  let cases = ref 0 in
+  for seed = 0 to 199 do
+    let tech, apps = Harness.tie_prone_instance ~n:(4 + (seed mod 6)) ~seed in
+    match (Harness.other_optimum tech apps, Synth.Explore.solve tech apps) with
+    | Some other, Ok cold ->
+      incr cases;
+      with_tmp (fun path ->
+          let store, _ = Store.Keyed.open_store ~fsync:false path in
+          Synth.Bound_store.remember store tech apps
+            { cold with Synth.Explore.binding = other };
+          let warm_binding = Synth.Bound_store.warm_binding store tech apps in
+          Store.Keyed.close store;
+          Alcotest.(check (option string))
+            (Format.sprintf "seed %d: the record holds the other optimum" seed)
+            (Some (Harness.binding_str other))
+            (Option.map Harness.binding_str warm_binding);
+          match Synth.Explore.solve ?warm:warm_binding tech apps with
+          | Error _ -> Alcotest.failf "seed %d: warm solve failed" seed
+          | Ok warm ->
+            Alcotest.(check (triple int string int))
+              (Format.sprintf "seed %d: warm == cold" seed)
+              ( cold.Synth.Explore.cost.Synth.Cost.total,
+                Harness.binding_str cold.Synth.Explore.binding,
+                cold.Synth.Explore.worst_load )
+              ( warm.Synth.Explore.cost.Synth.Cost.total,
+                Harness.binding_str warm.Synth.Explore.binding,
+                warm.Synth.Explore.worst_load ))
+    | _ -> ()
+  done;
+  Alcotest.(check bool) "tie-prone instances with several optima" true
+    (!cases >= 30)
 
 (* A model edit invalidates the problem key but per-app records still
    warm-start the unchanged applications. *)
@@ -272,6 +315,8 @@ let suite =
         test_bound_store_keys_stable;
       Alcotest.test_case "warm costs identical to cold" `Quick
         test_warm_equals_cold;
+      Alcotest.test_case "warm from another optimum equals cold" `Quick
+        test_warm_other_optimum;
       Alcotest.test_case "partial warm after model edit" `Quick
         test_partial_warm_after_edit;
     ] )

@@ -175,31 +175,6 @@ let test_table1_exact () =
     (Option.map (fun i -> i = Synth.Binding.Sw)
        (Synth.Binding.impl_of F2.unit_g1 var.Synth.Explore.binding))
 
-let brute_force ?(capacity = 100) tech apps =
-  let procs = I.Process_id.Set.elements (Synth.App.union_procs apps) in
-  let rec go procs binding =
-    match procs with
-    | [] ->
-      if Synth.Schedule.is_feasible (Synth.Schedule.check ~capacity tech binding apps)
-      then Some (Synth.Cost.total tech binding)
-      else None
-    | p :: rest ->
-      let try_impl impl =
-        let o = Synth.Tech.options_of tech p in
-        let available =
-          match impl with
-          | Synth.Binding.Sw -> Option.is_some o.Synth.Tech.sw
-          | Synth.Binding.Hw -> Option.is_some o.Synth.Tech.hw
-        in
-        if available then go rest (Synth.Binding.bind p impl binding) else None
-      in
-      (match try_impl Synth.Binding.Sw, try_impl Synth.Binding.Hw with
-      | Some a, Some b -> Some (min a b)
-      | (Some _ as r), None | None, (Some _ as r) -> r
-      | None, None -> None)
-  in
-  go procs Synth.Binding.empty
-
 let prop_explore_matches_bruteforce =
   QCheck.Test.make ~name:"explorer is exact vs brute force" ~count:60
     QCheck.(pair (int_range 1 6) (int_range 0 1000))
@@ -224,7 +199,7 @@ let prop_explore_matches_bruteforce =
           Synth.App.make "b" (match subset () with [] -> [ List.hd pids ] | s -> s);
         ]
       in
-      let expected = brute_force tech apps in
+      let expected = Option.map fst (Harness.lex_least_optimum tech apps) in
       let got =
         Option.map
           (fun (s : Synth.Explore.solution) -> s.Synth.Explore.cost.Synth.Cost.total)

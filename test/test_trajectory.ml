@@ -1,20 +1,23 @@
 (* The bench-trajectory regression gate: parsing of bench-explore/v1
-   records and the two failure arms (cost divergence across job counts,
-   aggregate speedup regression past the tolerance). *)
+   records and its failure arms — cost and binding divergence across
+   job counts, jobs=1 explored-node growth, per-job-count wall
+   regression past the tolerance, and the per-field speedup arms. *)
 
 module T = Trajectory
 
-let record ?(label = "") ?(name = "w") ?(speedup = 2.0) ?sim ?family_compiled
-    ?(costs = [ 34; 34; 34 ]) () =
+(* One workload run at jobs 1/2/4; [walls] and [explored] are per job
+   count, [digests] the binding digests ([None]: a record from before
+   the field existed). *)
+let record ?(label = "") ?(name = "w") ?(walls = [ 0.1; 0.05; 0.025 ])
+    ?(explored = [ 1000; 1000; 1001 ]) ?(digests = Some [ "d"; "d"; "d" ])
+    ?sim ?family_compiled ?(costs = [ 34; 34; 34 ]) () =
   {
     T.label;
     max_jobs = 4;
-    aggregate_speedup = speedup;
     workloads =
       [
         {
           T.w_name = name;
-          speedup;
           sim_speedup = sim;
           family_compiled_speedup = family_compiled;
           runs =
@@ -22,8 +25,10 @@ let record ?(label = "") ?(name = "w") ?(speedup = 2.0) ?sim ?family_compiled
               (fun i c ->
                 {
                   T.jobs = (match i with 0 -> 1 | 1 -> 2 | _ -> 4);
-                  wall_s = 0.1 /. float_of_int (i + 1);
+                  wall_s = List.nth walls i;
                   cost = Some c;
+                  explored = Some (List.nth explored i);
+                  binding_digest = Option.map (fun d -> List.nth d i) digests;
                 })
               costs;
         };
@@ -32,45 +37,91 @@ let record ?(label = "") ?(name = "w") ?(speedup = 2.0) ?sim ?family_compiled
 
 let check = T.check ~tolerance:0.3
 
-let test_pass () =
-  match
-    check ~baseline:(Some (record ~speedup:2.0 ())) ~fresh:(record ~speedup:1.8 ()) ()
-  with
+let has_sub f sub =
+  let n = String.length sub and m = String.length f in
+  let rec go i = i + n <= m && (String.sub f i n = sub || go (i + 1)) in
+  go 0
+
+let expect_pass = function
   | Ok _ -> ()
   | Error fs -> Alcotest.failf "expected pass, got: %s" (String.concat "; " fs)
+
+let expect_failure ~mentions = function
+  | Ok s -> Alcotest.failf "expected a failure naming %S, passed: %s" mentions s
+  | Error fs ->
+    Alcotest.(check bool)
+      (Format.sprintf "a failure names %S" mentions)
+      true
+      (List.exists (fun f -> has_sub f mentions) fs)
+
+let scale k = List.map (fun w -> w *. k) [ 0.1; 0.05; 0.025 ]
+
+let test_pass () =
+  expect_pass
+    (check ~baseline:(Some (record ())) ~fresh:(record ~walls:(scale 1.1) ()) ())
 
 let test_no_baseline () =
   match check ~baseline:None ~fresh:(record ()) () with
   | Ok summary ->
     Alcotest.(check bool) "summary mentions missing baseline" true
-      (String.length summary > 0)
+      (has_sub summary "no baseline")
   | Error fs -> Alcotest.failf "expected pass, got: %s" (String.concat "; " fs)
 
 let test_fails_on_regression () =
-  (* fabricated regressed record: the baseline explored at 10x, the
-     fresh record limps at 1x — far below the 30% budget *)
-  match
-    check ~baseline:(Some (record ~speedup:10.0 ())) ~fresh:(record ~speedup:1.0 ()) ()
-  with
-  | Ok s -> Alcotest.failf "regressed record passed the gate: %s" s
-  | Error fs ->
-    Alcotest.(check bool) "failure names the speedup regression" true
-      (List.exists
-         (fun f ->
-           let has_sub sub =
-             let n = String.length sub and m = String.length f in
-             let rec go i = i + n <= m && (String.sub f i n = sub || go (i + 1)) in
-             go 0
-           in
-           has_sub "speedup regressed")
-         fs)
+  (* fabricated regressed record: every job count ten times slower, far
+     beyond the 30% budget *)
+  expect_failure ~mentions:"wall at jobs=1 regressed"
+    (check ~baseline:(Some (record ())) ~fresh:(record ~walls:(scale 10.) ()) ())
 
 let test_within_tolerance () =
-  (* 25% down is inside the 30% budget *)
-  match
-    check ~baseline:(Some (record ~speedup:2.0 ())) ~fresh:(record ~speedup:1.5 ()) ()
-  with
-  | Ok _ -> ()
+  (* 25% slower is inside the 30% budget *)
+  expect_pass
+    (check ~baseline:(Some (record ())) ~fresh:(record ~walls:(scale 1.25) ()) ())
+
+(* One job count regressing is enough: the arm is per job count, so a
+   slower pool cannot hide behind a faster jobs=1 run. *)
+let test_wall_arm_per_job_count () =
+  expect_failure ~mentions:"wall at jobs=4 regressed"
+    (check ~baseline:(Some (record ()))
+       ~fresh:(record ~walls:[ 0.05; 0.05; 0.05 ] ())
+       ())
+
+(* Baselines under the 100 us timer floor are not gated: a 10 us
+   baseline against 500 us passes.  Just above the floor the plain
+   relative bound applies: 200 us against 300 us fails. *)
+let test_wall_floor () =
+  expect_pass
+    (check
+       ~baseline:(Some (record ~walls:[ 1e-5; 2e-5; 4e-5 ] ()))
+       ~fresh:(record ~walls:[ 5e-4; 5e-4; 5e-4 ] ())
+       ());
+  expect_failure ~mentions:"wall at jobs=1 regressed"
+    (check
+       ~baseline:(Some (record ~walls:[ 2e-4; 2e-5; 4e-5 ] ()))
+       ~fresh:(record ~walls:[ 3e-4; 2e-5; 4e-5 ] ())
+       ())
+
+(* The jobs=1 node count is deterministic: one extra node fails. *)
+let test_explored_arm () =
+  expect_failure ~mentions:"explored 1001 nodes at jobs=1"
+    (check ~baseline:(Some (record ()))
+       ~fresh:(record ~explored:[ 1001; 1000; 1001 ] ())
+       ());
+  (* fewer nodes pass; other job counts depend on steal timing and are
+     not gated *)
+  expect_pass
+    (check ~baseline:(Some (record ()))
+       ~fresh:(record ~explored:[ 900; 5000; 5000 ] ())
+       ())
+
+let test_binding_arm () =
+  expect_failure ~mentions:"binding differs across job counts"
+    (check ~baseline:None ~fresh:(record ~digests:(Some [ "a"; "a"; "b" ]) ()) ());
+  (* a record from before the digests existed skips the arm *)
+  match check ~baseline:None ~fresh:(record ~digests:None ()) () with
+  | Ok summary ->
+    Alcotest.(check bool) "summary says bindings were not gated" true
+      (has_sub summary "bindings not gated")
   | Error fs -> Alcotest.failf "expected pass, got: %s" (String.concat "; " fs)
 
 let test_fails_on_divergent_costs () =
@@ -91,21 +142,15 @@ let test_divergence_without_baseline () =
   | Error _ -> ()
 
 let test_different_workload_sets () =
-  (* a tiny CI record against a committed full-size record: wall times
-     are incomparable, only the cost arm applies *)
-  match
-    check
-      ~baseline:(Some (record ~name:"full" ~speedup:10.0 ()))
-      ~fresh:(record ~name:"tiny" ~speedup:0.5 ())
-      ()
-  with
-  | Ok _ -> ()
-  | Error fs -> Alcotest.failf "expected pass, got: %s" (String.concat "; " fs)
-
-let has_sub f sub =
-  let n = String.length sub and m = String.length f in
-  let rec go i = i + n <= m && (String.sub f i n = sub || go (i + 1)) in
-  go 0
+  (* a tiny CI record against a committed full-size record: node counts
+     and wall times are incomparable, only the per-record arms apply *)
+  expect_pass
+    (check
+       ~baseline:(Some (record ~name:"full" ()))
+       ~fresh:
+         (record ~name:"tiny" ~walls:(scale 50.) ~explored:[ 9999; 9999; 9999 ]
+            ())
+       ())
 
 (* ------------------- mixed-version trajectories --------------------- *)
 
@@ -114,8 +159,8 @@ let has_sub f sub =
 let test_old_baseline_skips_new_fields () =
   match
     check
-      ~baseline:(Some (record ~speedup:2.0 ()))
-      ~fresh:(record ~speedup:1.9 ~sim:5.0 ~family_compiled:6.0 ())
+      ~baseline:(Some (record ()))
+      ~fresh:(record ~sim:5.0 ~family_compiled:6.0 ())
       ()
   with
   | Ok summary ->
@@ -128,9 +173,8 @@ let test_old_baseline_skips_new_fields () =
 let test_old_fresh_skips_new_fields () =
   match
     check
-      ~baseline:
-        (Some (record ~speedup:2.0 ~sim:5.0 ~family_compiled:6.0 ()))
-      ~fresh:(record ~speedup:1.9 ())
+      ~baseline:(Some (record ~sim:5.0 ~family_compiled:6.0 ()))
+      ~fresh:(record ())
       ()
   with
   | Ok _ -> ()
@@ -181,9 +225,12 @@ let sample_json =
         "applications": 2,
         "capacity": 100,
         "runs": [
-          {"jobs": 1, "wall_s": 0.4, "cost": 41, "explored": 10, "pruned": 3},
-          {"jobs": 2, "wall_s": 0.25, "cost": 41, "explored": 12, "pruned": 4},
-          {"jobs": 4, "wall_s": 0.1, "cost": 41, "explored": 15, "pruned": 5}
+          {"jobs": 1, "wall_s": 0.4, "cost": 41, "explored": 10, "pruned": 3,
+           "binding_digest": "ab12"},
+          {"jobs": 2, "wall_s": 0.25, "cost": 41, "explored": 12, "pruned": 4,
+           "binding_digest": "ab12"},
+          {"jobs": 4, "wall_s": 0.1, "cost": 41, "explored": 15, "pruned": 5,
+           "binding_digest": "ab12"}
         ],
         "speedup_max_jobs": 4.0,
         "costs_identical": true
@@ -200,7 +247,6 @@ let test_parse_record () =
   | Ok [ r ] ->
     Alcotest.(check string) "label" "seed" r.T.label;
     Alcotest.(check int) "max_jobs" 4 r.T.max_jobs;
-    Alcotest.(check (float 1e-9)) "aggregate" 4.0 r.T.aggregate_speedup;
     (match r.T.workloads with
     | [ w ] ->
       Alcotest.(check string) "workload name" "table1" w.T.w_name;
@@ -209,6 +255,14 @@ let test_parse_record () =
         "costs"
         [ Some 41; Some 41; Some 41 ]
         (List.map (fun r -> r.T.cost) w.T.runs);
+      Alcotest.(check (list (option int)))
+        "explored"
+        [ Some 10; Some 12; Some 15 ]
+        (List.map (fun r -> r.T.explored) w.T.runs);
+      Alcotest.(check (list (option string)))
+        "binding digests"
+        [ Some "ab12"; Some "ab12"; Some "ab12" ]
+        (List.map (fun r -> r.T.binding_digest) w.T.runs);
       (* a record from before the sim/family fields existed *)
       Alcotest.(check (option (float 1e-9))) "no sim field" None w.T.sim_speedup;
       Alcotest.(check (option (float 1e-9)))
@@ -246,6 +300,10 @@ let test_parse_sim_and_family_fields () =
   | Ok [ { T.workloads = [ w ]; _ } ] ->
     (* the "family" object of older records is ignored *)
     Alcotest.(check (option (float 1e-9))) "sim" (Some 4.0) w.T.sim_speedup;
+    (* runs from before explored/binding_digest existed parse to None *)
+    Alcotest.(check (list (option string)))
+      "no digests" [ None; None ]
+      (List.map (fun r -> r.T.binding_digest) w.T.runs);
     Alcotest.(check (option (float 1e-9)))
       "family_compiled" (Some 6.0) w.T.family_compiled_speedup
   | Ok _ -> Alcotest.fail "expected 1 record with 1 workload"
@@ -269,8 +327,16 @@ let suite =
         test_fails_on_divergent_costs;
       Alcotest.test_case "cost arm fires without a baseline" `Quick
         test_divergence_without_baseline;
-      Alcotest.test_case "different workload sets skip the speedup arm" `Quick
-        test_different_workload_sets;
+      Alcotest.test_case "different workload sets skip the node and wall arms"
+        `Quick test_different_workload_sets;
+      Alcotest.test_case "wall arm is per job count" `Quick
+        test_wall_arm_per_job_count;
+      Alcotest.test_case "wall arm skips baselines under the timer floor"
+        `Quick test_wall_floor;
+      Alcotest.test_case "explored arm fires on one extra jobs=1 node" `Quick
+        test_explored_arm;
+      Alcotest.test_case "binding arm fires on divergent digests" `Quick
+        test_binding_arm;
       Alcotest.test_case "parses bench-explore/v1" `Quick test_parse_record;
       Alcotest.test_case "rejects unknown schemas" `Quick
         test_parse_rejects_bad_schema;

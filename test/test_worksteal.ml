@@ -1,92 +1,160 @@
-(* Differential proof of the work-stealing scheduler: every parallel
-   explorer entry point must produce the same answer as its sequential
-   reference on randomized workloads, across job counts that cover an
-   odd worker and oversubscription.  Plus direct regression tests for
-   the scheduler itself: deterministic forced stealing, prompt
+(* Differential proof of the work-stealing scheduler: every explorer
+   entry point must return the same answer — cost, binding and loads,
+   not only the cost — for every job count, on random and on tie-prone
+   workloads, and that answer must be the brute-force lex-least optimum
+   (the canonical tie-break of {!Synth.Search}).  Plus direct regression
+   tests for the scheduler itself: deterministic forced stealing, prompt
    cancellation after a failure, and re-split accounting. *)
-
-let jobs_sweep = Harness.default_jobs (* 2, 4, 8 *)
 
 (* ----------------------- differential properties -------------------- *)
 
+(* The answer every run must give: the oracle's lex-least optimum, with
+   its worst application load. *)
+let oracle_answer tech apps =
+  Option.map
+    (fun (c, b) -> (c, Harness.binding_str b, Harness.worst_app_load tech b apps))
+    (Harness.lex_least_optimum tech apps)
+
+(* Re-check a returned binding outside the search's own bookkeeping: it
+   passes the schedulability check and re-costs to the reported total. *)
+let sound tech apps = function
+  | None -> true
+  | Some (s : Synth.Explore.solution) ->
+    Synth.Schedule.is_feasible
+      (Synth.Schedule.check tech s.Synth.Explore.binding apps)
+    && (Synth.Cost.of_binding tech s.Synth.Explore.binding).Synth.Cost.total
+       = s.Synth.Explore.cost.Synth.Cost.total
+
+(* Every job count returns a sound binding, and that binding is the
+   oracle's — so the job counts also agree with one another. *)
 let prop_explore_differential =
   QCheck.Test.make ~name:"explore: par == seq (200 workloads)" ~count:200
     QCheck.(pair (int_range 4 9) (int_range 0 100_000))
     (fun (n, seed) ->
       let tech, apps = Harness.random_mixed_instance ~n ~seed in
-      let seq = Synth.Explore.optimal ~jobs:1 tech apps in
-      Harness.sweep_jobs ~jobs:jobs_sweep (fun jobs ->
-          let par = Synth.Explore.optimal ~jobs tech apps in
-          match (seq, par) with
-          | None, None -> true
-          | Some s, Some p ->
-            let sc = s.Synth.Explore.cost.Synth.Cost.total
-            and pc = p.Synth.Explore.cost.Synth.Cost.total in
-            sc = pc
-            && Synth.Schedule.is_feasible
-                 (Synth.Schedule.check tech p.Synth.Explore.binding apps)
-            && (Synth.Cost.of_binding tech p.Synth.Explore.binding)
-                 .Synth.Cost.total = pc
-          | Some _, None | None, Some _ -> false))
+      let oracle = oracle_answer tech apps in
+      List.for_all
+        (fun jobs ->
+          let s = Synth.Explore.optimal ~jobs tech apps in
+          sound tech apps s && Harness.explore_answer s = oracle)
+        Harness.all_jobs)
+
+(* Tie-prone workloads, n = 1–10: every job count returns the same
+   binding, cold or warm-started from another optimum of equal cost,
+   and for n <= 9 that binding is the brute-force lex-least optimum. *)
+let prop_explore_ties =
+  QCheck.Test.make ~name:"explore: tie-prone bindings are canonical"
+    ~count:200
+    QCheck.(pair (int_range 1 10) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let tech, apps = Harness.tie_prone_instance ~n ~seed in
+      let cold jobs =
+        let s = Synth.Explore.optimal ~jobs tech apps in
+        if sound tech apps s then Harness.explore_answer s
+        else QCheck.Test.fail_reportf "unsound binding at jobs=%d" jobs
+      in
+      let answer = cold 1 in
+      let warm =
+        match Harness.other_optimum tech apps with
+        | Some b -> Some b
+        | None ->
+          Option.map
+            (fun (s : Synth.Explore.solution) -> s.Synth.Explore.binding)
+            (Synth.Explore.optimal ~jobs:2 tech apps)
+      in
+      let warm_answer jobs =
+        Harness.explore_answer
+          (Result.to_option (Synth.Explore.solve ~jobs ?warm tech apps))
+      in
+      Harness.agree cold
+      && List.for_all (fun jobs -> warm_answer jobs = answer) Harness.all_jobs
+      && (n > 9 || answer = oracle_answer tech apps))
 
 let prop_multi_differential =
   QCheck.Test.make ~name:"multi: par == seq (200 workloads)" ~count:200
     QCheck.(triple (int_range 4 7) (int_range 1 2) (int_range 0 100_000))
     (fun (n, n_cpu, seed) ->
       let tech, procs, apps = Harness.random_multi_instance ~n ~n_cpu ~seed in
-      let seq = Synth.Multi.optimal ~jobs:1 tech procs apps in
-      Harness.sweep_jobs ~jobs:jobs_sweep (fun jobs ->
-          Harness.multi_cost (Synth.Multi.optimal ~jobs tech procs apps)
-          = Harness.multi_cost seq))
+      Harness.agree (fun jobs ->
+          Harness.multi_answer (Synth.Multi.optimal ~jobs tech procs apps)))
+
+let prop_multi_ties =
+  QCheck.Test.make ~name:"multi: tie-prone bindings are canonical" ~count:200
+    QCheck.(triple (int_range 1 7) (int_range 1 3) (int_range 0 100_000))
+    (fun (n, n_cpu, seed) ->
+      let tech, procs, apps = Harness.tie_prone_multi_instance ~n ~n_cpu ~seed in
+      let answer jobs = Harness.multi_answer (Synth.Multi.optimal ~jobs tech procs apps) in
+      Harness.agree answer
+      && Option.map
+           (fun (c, b, _) -> (c, b))
+           (answer 1)
+         = Option.map
+             (fun (c, b) -> (c, Harness.multi_binding_str b))
+             (Harness.lex_least_multi tech procs apps))
 
 (* Superposition forwards [jobs] to per-application {!Explore.optimal}
-   calls.  The guaranteed invariant is the documented one: each
-   application's optimal *cost* is job-count independent.  The merged
-   binding (and with it the conflict set and superposed total) may
-   legitimately differ when an application has several cost-equal
-   optima and the parallel search surfaces a different one — so the
-   property checks per-application costs plus internal consistency of
-   each parallel result, not byte equality of the superposition. *)
+   calls, each canonical, so the whole superposition — per-application
+   answers, merged binding, conflicts and total — is identical for every
+   job count. *)
+let superpose_answer =
+  Option.map (fun (r : Synth.Superpose.result) ->
+      ( List.map
+          (fun (name, s) -> (name, Harness.explore_answer (Some s)))
+          r.Synth.Superpose.per_app,
+        Harness.binding_str r.Synth.Superpose.merged,
+        List.map Spi.Ids.Process_id.to_string r.Synth.Superpose.conflicts,
+        r.Synth.Superpose.cost.Synth.Cost.total ))
+
+(* Each conflict names a process the merged binding maps to hardware
+   (the software copy rides the shared CPU). *)
+let conflicts_in_hw = function
+  | None -> true
+  | Some (r : Synth.Superpose.result) ->
+    List.for_all
+      (fun c ->
+        Synth.Binding.impl_of c r.Synth.Superpose.merged = Some Synth.Binding.Hw)
+      r.Synth.Superpose.conflicts
+
 let prop_superpose_differential =
   QCheck.Test.make ~name:"superpose: par == seq (200 workloads)" ~count:200
-    QCheck.(pair (int_range 4 8) (int_range 0 100_000))
-    (fun (n, seed) ->
-      let tech, apps = Harness.random_instance ~n ~seed in
-      let seq = Synth.Superpose.superpose ~jobs:1 tech apps in
-      Harness.sweep_jobs ~jobs:jobs_sweep (fun jobs ->
-          let par = Synth.Superpose.superpose ~jobs tech apps in
-          match (seq, par) with
-          | None, None -> true
-          | Some s, Some p ->
-            List.for_all2
-              (fun (an, (a : Synth.Explore.solution))
-                   (bn, (b : Synth.Explore.solution)) ->
-                an = bn
-                && a.Synth.Explore.cost.Synth.Cost.total
-                   = b.Synth.Explore.cost.Synth.Cost.total)
-              s.Synth.Superpose.per_app p.Synth.Superpose.per_app
-            (* each conflict names a process the merged binding maps
-               to hardware (the software copy rides the shared CPU) *)
-            && List.for_all
-                 (fun c ->
-                   Synth.Binding.impl_of c p.Synth.Superpose.merged
-                   = Some Synth.Binding.Hw)
-                 p.Synth.Superpose.conflicts
-          | Some _, None | None, Some _ -> false))
+    QCheck.(triple bool (int_range 4 8) (int_range 0 100_000))
+    (fun (ties, n, seed) ->
+      let tech, apps =
+        if ties then Harness.tie_prone_instance ~n ~seed
+        else Harness.random_instance ~n ~seed
+      in
+      let runs =
+        List.map
+          (fun jobs -> Synth.Superpose.superpose ~jobs tech apps)
+          Harness.all_jobs
+      in
+      let first = superpose_answer (List.hd runs) in
+      List.for_all
+        (fun r -> conflicts_in_hw r && superpose_answer r = first)
+        runs)
 
 let prop_pareto_differential =
   QCheck.Test.make ~name:"pareto: par == seq (200 workloads)" ~count:200
     QCheck.(pair (int_range 4 6) (int_range 0 100_000))
     (fun (n, seed) ->
       let tech, apps = Harness.random_instance ~n ~seed in
-      let objectives pts =
-        List.map
-          (fun p -> (p.Synth.Pareto.total_cost, p.Synth.Pareto.worst_load))
-          pts
-      in
-      let seq = objectives (Synth.Pareto.frontier ~jobs:1 tech apps) in
-      Harness.sweep_jobs ~jobs:jobs_sweep (fun jobs ->
-          objectives (Synth.Pareto.frontier ~jobs tech apps) = seq))
+      Harness.agree (fun jobs ->
+          Harness.pareto_answer (Synth.Pareto.frontier ~jobs tech apps)))
+
+(* Pareto keeps the lex-least binding as the representative of each
+   objective vector, whatever order the subtree tasks finish in. *)
+let prop_pareto_ties =
+  QCheck.Test.make ~name:"pareto: tie-prone representatives are canonical"
+    ~count:200
+    QCheck.(pair (int_range 1 8) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let tech, apps = Harness.tie_prone_instance ~n ~seed in
+      let answer jobs = Harness.pareto_answer (Synth.Pareto.frontier ~jobs tech apps) in
+      Harness.agree answer
+      && answer 1
+         = List.map
+             (fun (c, l, b) -> (c, l, Harness.binding_str b))
+             (Harness.pareto_oracle tech apps))
 
 (* --------------------- scheduler regression tests ------------------- *)
 
@@ -207,9 +275,12 @@ let suite =
   ( "worksteal",
     [
       QCheck_alcotest.to_alcotest prop_explore_differential;
+      QCheck_alcotest.to_alcotest prop_explore_ties;
       QCheck_alcotest.to_alcotest prop_multi_differential;
+      QCheck_alcotest.to_alcotest prop_multi_ties;
       QCheck_alcotest.to_alcotest prop_superpose_differential;
       QCheck_alcotest.to_alcotest prop_pareto_differential;
+      QCheck_alcotest.to_alcotest prop_pareto_ties;
       Alcotest.test_case "forced steal" `Quick test_forced_steal;
       Alcotest.test_case "cancellation, sequential" `Quick
         test_cancellation_seq;
