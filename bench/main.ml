@@ -808,7 +808,7 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let record_to_json ~timestamp ~label ~max_jobs ~metrics workload_rows =
+let record_to_json ~timestamp ~label ~max_jobs workload_rows =
   let b = Buffer.create 1024 in
   let add fmt = Format.ksprintf (Buffer.add_string b) fmt in
   add "  {\n";
@@ -885,12 +885,9 @@ let record_to_json ~timestamp ~label ~max_jobs ~metrics workload_rows =
   in
   let t1 = total 1 and tm = total max_jobs in
   add "    \"aggregate\": {\"wall_s_jobs1\": %.6f, \"wall_s_max_jobs\": %.6f, \
-       \"speedup_max_jobs\": %.3f},\n"
+       \"speedup_max_jobs\": %.3f}\n"
     t1 tm
     (if tm > 0. then t1 /. tm else 1.);
-  (* the explorer's obs/v1 snapshot for this record's runs, pre-rendered
-     because it comes from a different JSON emitter *)
-  add "    \"metrics\": %s\n" metrics;
   add "  }";
   Buffer.contents b
 
@@ -926,9 +923,6 @@ let append_record path record =
 
 let explore_json () =
   header "explore-json: parallel exploration perf trajectory";
-  (* start the registry from zero so the embedded snapshot covers
-     exactly this experiment's exploration work *)
-  Obs.Registry.reset ();
   (* --jobs N narrows the sweep to [1; N] so a multicore CI matrix can
      produce one labelled record per core budget; the default remains
      the full 1/2/4 sweep *)
@@ -1070,10 +1064,8 @@ let explore_json () =
           family ))
       (explore_workloads ())
   in
-  let metrics = Obs.Json.to_string (Obs.Registry.snapshot ()) in
   let record =
-    record_to_json ~timestamp:(Unix.time ()) ~label:!label ~max_jobs ~metrics
-      rows
+    record_to_json ~timestamp:(Unix.time ()) ~label:!label ~max_jobs rows
   in
   append_record !json_path record;
   Format.printf "@.appended record to %s@." !json_path

@@ -69,9 +69,9 @@ let choice_hw = 2
    itself allocates nothing.  (With several domains time-slicing few
    cores, per-node allocation is poison: every minor collection is a
    stop-the-world rendezvous across all domains.) *)
-let materialize ~(nodes : Search.node array) ~n choices =
+let materialize ~(nodes : Search.node array) choices =
   let b = ref Binding.empty in
-  for j = 0 to n - 1 do
+  for j = 0 to Array.length nodes - 1 do
     if choices.(j) = choice_hw then
       b := Binding.bind nodes.(j).pid Binding.Hw !b
     else if choices.(j) = choice_sw then
@@ -83,6 +83,14 @@ let materialize ~(nodes : Search.node array) ~n choices =
    index loops rather than local closures or [Array.iter]: the body
    must not allocate per node, or minor collections (stop-the-world
    rendezvous across domains) dominate the parallel run time. *)
+(* [search] walks decisions [start .. stop - 1] and calls
+   [leaf choices loads lower area any_sw] at depth [stop], while
+   [choices] and [loads] hold that prefix.  A full search stops at [n]
+   and its leaf offers the binding to the incumbent ({!offer_leaf}); the
+   prefix split stops at the split depth and its leaf emits a task
+   ({!split}); {!leaves} stops at [n] under an incumbent that never
+   fills, so every capacity-feasible leaf is reached.  The leaf runs at
+   leaves only, so the hot path pays one compared variable for it. *)
 (* [try_split i area any_sw] is consulted at branch nodes where both
    children exist: returning [true] means the caller captured the
    hardware sibling as a pool task, so only the software child descends
@@ -99,9 +107,9 @@ let materialize ~(nodes : Search.node array) ~n choices =
    expanding further nodes (the incumbent found so far is still valid,
    it is just not proved optimal). *)
 let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
-    ~should_stop ~capacity
-    ~processor_cost ~accept ~(nodes : Search.node array) ~n ~loads ~choices
-    ~(counters : Search.counters) ~incumbent ~on_improve start area0 any_sw0 =
+    ?(should_stop = fun () -> false) ~capacity ~processor_cost
+    ~(nodes : Search.node array) ~stop ~leaf ~loads ~choices
+    ~(counters : Search.counters) ~incumbent start area0 any_sw0 =
   (* a task claimed after the deadline expands nothing *)
   let stopped = ref (should_stop ()) in
   (* hoisted so the recursive closures are allocated once per call, not
@@ -120,17 +128,7 @@ let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
     if !stopped then ()
     else if not (Search.admits (Atomic.get incumbent) ~lower choices i) then
       counters.pruned <- counters.pruned + 1
-    else if i = n then begin
-      let binding = materialize ~nodes ~n choices in
-      if accept binding then begin
-        let worst = ref 0 in
-        for a = 0 to Array.length loads - 1 do
-          if loads.(a) > !worst then worst := loads.(a)
-        done;
-        if Search.offer incumbent ~cost:lower choices (binding, !worst) then
-          on_improve lower
-      end
-    end
+    else if i = stop then leaf choices loads lower area any_sw
     else begin
       counters.explored <- counters.explored + 1;
       if counters.explored land 1023 = 0 && should_stop () then
@@ -171,6 +169,17 @@ let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
     | None -> ()
   in
   go start area0 any_sw0
+
+let worst_load = Array.fold_left Int.max 0
+
+(* The full search's leaf: a leaf that survives the bound check precedes
+   the incumbent, so it is offered when [accept] takes it. *)
+let offer_leaf ~accept ~nodes ~incumbent ~on_improve choices loads lower _area
+    _any_sw =
+  let binding = materialize ~nodes choices in
+  if accept binding then
+    if Search.offer incumbent ~cost:lower choices (binding, worst_load loads)
+    then on_improve lower
 
 (* Complete the decision vector [vec] from node [from] on, given the
    loads, area and software flag of its prefix: a process follows
@@ -215,18 +224,6 @@ let complete ~capacity ~processor_cost ~(nodes : Search.node array) ~pick vec
   in
   place from area any_sw
 
-(* Enumerate the decision tree down to a split depth into independent
-   subtree tasks (each carrying its own loads snapshot), order the tasks
-   by the cost of a greedy completion of their prefix, and run them on a
-   domain pool with a shared atomic incumbent for cross-domain pruning.
-   The search is best-first at both levels: tasks are claimed
-   cheapest-estimate-first through the pool's cursor, and inside a task
-   the lower-bound child (software) is descended first.  The greedy
-   completions also seed the incumbent, so the most promising subtrees
-   run against a tight bound from the first node and the expensive
-   subtrees are pruned wholesale.  [jobs] only sizes the pool (and the
-   static split); at [jobs = 1] the pool runs the tasks inline, in the
-   same order. *)
 type task = {
   t_choices : int array;  (** full-length decision vector, prefix filled *)
   t_area : int;
@@ -236,20 +233,48 @@ type task = {
   t_depth : int;  (** first undecided node — the task's subtree root *)
 }
 
-(* A shallow static split: just enough seeds for the cursor to hand
-   every domain a distinct well-estimated subtree at start-up.  Load
-   balance does not depend on this depth any more — tasks re-split on
-   demand whenever a worker goes hungry — and a deep static split is
-   actively harmful: seeds all enqueue at pool start, so a wide seed
-   array means the last-claimed seeds sit queued for most of the run,
-   which is exactly the [par.task_queue_wait_ns] tail the deques are
-   meant to remove.  Clamped to [0 .. n - 2], so tiny problems become
-   one root task. *)
-let split_depth ~jobs ~n =
-  let target = jobs * 16 in
-  let rec depth d = if 1 lsl d >= target || d >= 14 then d else depth (d + 1) in
-  max 0 (min (n - 2) (depth 0))
+(* The subtrees at [depth] as independent tasks, each carrying its own
+   snapshot of the prefix's choices and loads, in canonical (software
+   first) leaf order.  The split runs without the deadline poll and with
+   no incumbent yet, so it prunes on capacity only, and its node counts
+   fold into [counters]. *)
+let split ~capacity ~processor_cost ~(nodes : Search.node array) ~n_apps
+    ~depth counters =
+  let tasks = ref [] in
+  search ~capacity ~processor_cost ~nodes ~stop:depth
+    ~leaf:(fun choices loads bound area any_sw ->
+      tasks :=
+        {
+          t_choices = Array.copy choices;
+          t_area = area;
+          t_any_sw = any_sw;
+          t_loads = Array.copy loads;
+          t_bound = bound;
+          t_depth = depth;
+        }
+        :: !tasks)
+    ~loads:(Array.make n_apps 0)
+    ~choices:(Array.make (Array.length nodes) 0)
+    ~counters ~incumbent:(Atomic.make Search.empty) 0 0 false;
+  Array.of_list (List.rev !tasks)
 
+let leaves ~capacity ~processor_cost ~(nodes : Search.node array) t f =
+  search ~capacity ~processor_cost ~nodes ~stop:(Array.length nodes)
+    ~leaf:(fun choices loads cost _ _ ->
+      f choices ~cost ~worst_load:(worst_load loads))
+    ~loads:t.t_loads ~choices:t.t_choices ~counters:(Search.zero ())
+    ~incumbent:(Atomic.make Search.empty) t.t_depth t.t_area t.t_any_sw
+
+(* The search is best-first at two levels.  Tasks from {!split} are
+   ordered by the cost of a greedy completion of their prefix and run on
+   a domain pool with a shared atomic incumbent for cross-domain
+   pruning, claimed cheapest-estimate-first through the pool's cursor;
+   inside a task the lower-bound child (software) is descended first.
+   The greedy completions also seed the incumbent, so the most
+   promising subtrees run against a tight bound from the first node and
+   the expensive subtrees are pruned wholesale.  [jobs] only sizes the
+   pool (and the static split, {!Search.split_depth}); at [jobs = 1] the
+   pool runs the tasks inline, in the same order. *)
 let branch_and_bound ~start_ns ~deadline_ns ~warm ~jobs ~capacity
     ~processor_cost ~accept ~(nodes : Search.node array) ~n_apps =
   (* one latch shared by every domain: whichever worker's throttled
@@ -260,53 +285,12 @@ let branch_and_bound ~start_ns ~deadline_ns ~warm ~jobs ~capacity
      and the seeding below still provides the incumbent *)
   let cancelled, should_stop = Search.deadline deadline_ns in
   let n = Array.length nodes in
-  let depth = split_depth ~jobs ~n in
   let counters = Search.zero () in
-  let tasks = ref [] in
-  let loads = Array.make n_apps 0 in
-  let choices = Array.make n 0 in
-  (* No incumbent exists yet, so enumeration prunes on capacity only;
-     its node counts fold into the totals. *)
-  let rec enumerate i area any_sw =
-    if i = depth then
-      let bound = area + if any_sw then processor_cost else 0 in
-      tasks :=
-        {
-          t_choices = Array.copy choices;
-          t_area = area;
-          t_any_sw = any_sw;
-          t_loads = Array.copy loads;
-          t_bound = bound;
-          t_depth = depth;
-        }
-        :: !tasks
-    else begin
-      counters.explored <- counters.explored + 1;
-      let nd = nodes.(i) in
-      (match nd.hw with
-      | Some a ->
-        choices.(i) <- choice_hw;
-        enumerate (i + 1) (area + a) any_sw
-      | None -> ());
-      match nd.sw with
-      | Some load ->
-        let ok = ref true in
-        Array.iter
-          (fun ai ->
-            loads.(ai) <- loads.(ai) + load;
-            if loads.(ai) > capacity then ok := false)
-          nd.members;
-        if !ok then begin
-          choices.(i) <- choice_sw;
-          enumerate (i + 1) area true
-        end
-        else counters.pruned <- counters.pruned + 1;
-        Array.iter (fun ai -> loads.(ai) <- loads.(ai) - load) nd.members
-      | None -> ()
-    end
+  let tasks =
+    split ~capacity ~processor_cost ~nodes ~n_apps
+      ~depth:(Search.split_depth ~jobs ~n ~branching:2)
+      counters
   in
-  enumerate 0 0 false;
-  let tasks = Array.of_list !tasks in
   (* Greedy completion of a task prefix: place each remaining process in
      software when the loads allow it, in hardware otherwise.  The
      result is a feasible solution of the task's subtree (when every
@@ -348,7 +332,7 @@ let branch_and_bound ~start_ns ~deadline_ns ~warm ~jobs ~capacity
   Array.iter
     (function
       | Some (cost, vec, worst) ->
-        let binding = materialize ~nodes ~n vec in
+        let binding = materialize ~nodes vec in
         if accept binding then
           ignore (Search.offer incumbent ~cost vec (binding, worst) : bool)
       | None -> ())
@@ -369,6 +353,7 @@ let branch_and_bound ~start_ns ~deadline_ns ~warm ~jobs ~capacity
     Obs.Metric.incr m_improvements;
     Domain_trace.record_improvement ~cost
   in
+  let leaf = offer_leaf ~accept ~nodes ~incumbent ~on_improve in
   (* Root incumbent dive (same scheme as {!Multi.optimal}): solve the
      best-estimated subtree before the pool starts.  The greedy
      completion only bounds that subtree's optimum from above; diving it
@@ -378,9 +363,9 @@ let branch_and_bound ~start_ns ~deadline_ns ~warm ~jobs ~capacity
      concurrently while domains contend for cores. *)
   if Array.length tasks > 0 then begin
     let t = tasks.(0) in
-    search ~should_stop ~capacity ~processor_cost ~accept ~nodes ~n
-      ~loads:t.t_loads ~choices:t.t_choices ~counters ~incumbent ~on_improve
-      t.t_depth t.t_area t.t_any_sw
+    search ~should_stop ~capacity ~processor_cost ~nodes ~stop:n ~leaf
+      ~loads:t.t_loads ~choices:t.t_choices ~counters ~incumbent t.t_depth
+      t.t_area t.t_any_sw
   end;
   let tasks =
     if Array.length tasks > 0 then Array.sub tasks 1 (Array.length tasks - 1)
@@ -429,8 +414,9 @@ let branch_and_bound ~start_ns ~deadline_ns ~warm ~jobs ~capacity
        sub-millisecond work that costs the thief more in claim latency
        than it buys in balance *)
     search ~try_split ~split_floor:(n - 12) ~should_stop ~capacity
-      ~processor_cost ~accept ~nodes ~n ~loads:t.t_loads ~choices:t.t_choices
-      ~counters:acc ~incumbent ~on_improve t.t_depth t.t_area t.t_any_sw;
+      ~processor_cost ~nodes ~stop:n ~leaf ~loads:t.t_loads
+      ~choices:t.t_choices ~counters:acc ~incumbent t.t_depth t.t_area
+      t.t_any_sw;
     (* one span per task: per-domain node throughput shows up in the
        span stream without any per-node cost *)
     Obs.Registry.record_span ~name:"explore.task_ns" ~start_ns:task_ns
@@ -462,7 +448,7 @@ let warm_candidate ~capacity ~processor_cost ~accept
        ~pick:(fun i -> Binding.impl_of nodes.(i).pid warm)
        (Array.make n 0) (Array.make n_apps 0) 0 0 false)
     (fun (cost, vec, worst) ->
-      let binding = materialize ~nodes ~n vec in
+      let binding = materialize ~nodes vec in
       if accept binding then Some (cost, vec, binding, worst) else None)
 
 let solve ?(jobs = 1) ?(capacity = Schedule.default_capacity) ?fixed

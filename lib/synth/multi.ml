@@ -61,10 +61,10 @@ let copy_state st =
 let choice_sw c = 1 + c
 let choice_hw ~n_cpu = 1 + n_cpu
 
-let materialize ~procs_arr ~(nodes : Search.node array) ~n choices =
+let materialize ~procs_arr ~(nodes : Search.node array) choices =
   let n_cpu = Array.length procs_arr in
   let b = ref I.Process_id.Map.empty in
-  for j = 0 to n - 1 do
+  for j = 0 to Array.length nodes - 1 do
     let c = choices.(j) in
     if c = choice_hw ~n_cpu then b := I.Process_id.Map.add nodes.(j).pid Hw !b
     else if c > 0 then
@@ -105,29 +105,38 @@ let candidate ~procs_arr ~st cost binding area =
    overload.  Software placements are tried first, processor by
    processor, then hardware: a software placement on an already-used
    processor adds no cost, so this is best-first, and it visits leaves
-   in canonical order.  [try_split i area cpu_cost] — see
+   in canonical order.  As in {!Explore.search}, the walk covers
+   decisions [start .. stop - 1] and calls
+   [leaf choices st lower area cpu_cost] at depth [stop]: the full
+   search offers the placement there ({!offer_leaf}), the prefix split
+   emits a task ({!split}).  [try_split i area cpu_cost] — see
    {!Explore.search}: consulted at every branch node with both a
    hardware and a software option; returning [true] means the hardware
    sibling was captured as a pool task and only the software placements
-   descend in place. *)
-let search ?(try_split = fun _ _ _ -> false) ~should_stop ~procs_arr
-    ~accept ~(nodes : Search.node array) ~n ~st ~choices
+   descend in place.  The body allocates nothing per node: loads are
+   updated by index loops, as in {!Explore.search}. *)
+let search ?(try_split = fun _ _ _ -> false) ?(should_stop = fun () -> false)
+    ~procs_arr ~(nodes : Search.node array) ~stop ~leaf ~st ~choices
     ~(counters : Search.counters) ~incumbent start area0 cpu_cost0 =
   let n_cpu = Array.length procs_arr in
   let stopped = ref (should_stop ()) in
+  (* add [load] to processor [c]'s column of every member application;
+     [true] while all of them stay within [capacity] *)
+  let rec add_loads members m c capacity load k ok =
+    if k = m then ok
+    else begin
+      let row = st.loads.(members.(k)) in
+      let v = row.(c) + load in
+      row.(c) <- v;
+      add_loads members m c capacity load (k + 1) (ok && v <= capacity)
+    end
+  in
   let rec go i area cpu_cost =
     let lower = area + cpu_cost in
     if !stopped then ()
     else if not (Search.admits (Atomic.get incumbent) ~lower choices i) then
       counters.pruned <- counters.pruned + 1
-    else if i = n then begin
-      let binding = materialize ~procs_arr ~nodes ~n choices in
-      if accept binding then
-        ignore
-          (Search.offer incumbent ~cost:lower choices
-             (candidate ~procs_arr ~st lower binding area)
-            : bool)
-    end
+    else if i = stop then leaf choices st lower area cpu_cost
     else begin
       counters.explored <- counters.explored + 1;
       if counters.explored land 1023 = 0 && should_stop () then
@@ -152,31 +161,35 @@ let search ?(try_split = fun _ _ _ -> false) ~should_stop ~procs_arr
     match nodes.(i).sw with
     | Some load ->
       let members = nodes.(i).members in
+      let m = Array.length members in
       for c = 0 to n_cpu - 1 do
-        let ok = ref true in
-        Array.iter
-          (fun ai ->
-            st.loads.(ai).(c) <- st.loads.(ai).(c) + load;
-            if st.loads.(ai).(c) > procs_arr.(c).capacity then ok := false)
-          members;
+        let p = procs_arr.(c) in
         let was_used = st.used.(c) in
         st.used.(c) <- true;
-        let cpu_cost' =
-          if was_used then cpu_cost else cpu_cost + procs_arr.(c).cost
-        in
-        if !ok then begin
+        if add_loads members m c p.capacity load 0 true then begin
           choices.(i) <- choice_sw c;
-          go (i + 1) area cpu_cost'
+          go (i + 1) area (if was_used then cpu_cost else cpu_cost + p.cost)
         end
         else counters.pruned <- counters.pruned + 1;
         if not was_used then st.used.(c) <- false;
-        Array.iter
-          (fun ai -> st.loads.(ai).(c) <- st.loads.(ai).(c) - load)
-          members
+        for k = 0 to m - 1 do
+          let row = st.loads.(members.(k)) in
+          row.(c) <- row.(c) - load
+        done
       done
     | None -> ()
   in
   go start area0 cpu_cost0
+
+(* The full search's leaf, as {!Explore.offer_leaf}. *)
+let offer_leaf ~procs_arr ~accept ~nodes ~incumbent choices st lower area
+    _cpu_cost =
+  let binding = materialize ~procs_arr ~nodes choices in
+  if accept binding then
+    ignore
+      (Search.offer incumbent ~cost:lower choices
+         (candidate ~procs_arr ~st lower binding area)
+        : bool)
 
 (* A subtree task: the decision prefix as the flat choice vector plus
    its incremental state — plain ints and bools throughout, so stealing
@@ -190,12 +203,31 @@ type task = {
   t_depth : int;
 }
 
-let split_depth ~jobs ~n ~branching =
-  let target = jobs * 32 in
-  let rec depth d reach =
-    if reach >= target || d >= 10 then d else depth (d + 1) (reach * branching)
-  in
-  max 0 (min (n - 2) (depth 0 1))
+(* The subtrees at [depth] as tasks in canonical order, as
+   {!Explore.split}. *)
+let split ~procs_arr ~nodes ~n_app ~depth counters =
+  let n_cpu = Array.length procs_arr in
+  let tasks = ref [] in
+  search ~procs_arr ~nodes ~stop:depth
+    ~leaf:(fun choices st bound area cpu_cost ->
+      tasks :=
+        {
+          t_choices = Array.copy choices;
+          t_area = area;
+          t_cpu_cost = cpu_cost;
+          t_state = copy_state st;
+          t_bound = bound;
+          t_depth = depth;
+        }
+        :: !tasks)
+    ~st:
+      {
+        loads = Array.make_matrix n_app n_cpu 0;
+        used = Array.make n_cpu false;
+      }
+    ~choices:(Array.make (Array.length nodes) 0)
+    ~counters ~incumbent:(Atomic.make Search.empty) 0 0 0;
+  Array.of_list (List.rev !tasks)
 
 let optimal ?(jobs = 1) ?(accept = fun _ -> true) ?deadline_ns tech
     processors apps =
@@ -212,71 +244,23 @@ let optimal ?(jobs = 1) ?(accept = fun _ -> true) ?deadline_ns tech
   let n_app = Array.length apps_arr in
   let nodes = Search.nodes tech apps_arr in
   let n = Array.length nodes in
-  (* enumerate subtree tasks at the split depth, best-first by bound *)
-  let depth = split_depth ~jobs ~n ~branching:(1 + n_cpu) in
+  (* subtree tasks at the split depth, best-first by bound; the stable
+     sort keeps equal bounds in canonical order *)
   let counters = Search.zero () in
-  let st =
-    { loads = Array.make_matrix n_app n_cpu 0; used = Array.make n_cpu false }
+  let tasks =
+    split ~procs_arr ~nodes ~n_app
+      ~depth:(Search.split_depth ~jobs ~n ~branching:(1 + n_cpu))
+      counters
   in
-  let choices = Array.make n 0 in
-  let tasks = ref [] in
-  let rec enumerate i area cpu_cost =
-    if i = depth then
-      tasks :=
-        {
-          t_choices = Array.copy choices;
-          t_area = area;
-          t_cpu_cost = cpu_cost;
-          t_state = copy_state st;
-          t_bound = area + cpu_cost;
-          t_depth = depth;
-        }
-        :: !tasks
-    else begin
-      counters.explored <- counters.explored + 1;
-      let nd = nodes.(i) in
-      (match nd.hw with
-      | Some a ->
-        choices.(i) <- choice_hw ~n_cpu;
-        enumerate (i + 1) (area + a) cpu_cost
-      | None -> ());
-      match nd.sw with
-      | Some load ->
-        for c = 0 to n_cpu - 1 do
-          let ok = ref true in
-          Array.iter
-            (fun ai ->
-              st.loads.(ai).(c) <- st.loads.(ai).(c) + load;
-              if st.loads.(ai).(c) > procs_arr.(c).capacity then ok := false)
-            nd.members;
-          let was_used = st.used.(c) in
-          st.used.(c) <- true;
-          let cpu_cost' =
-            if was_used then cpu_cost else cpu_cost + procs_arr.(c).cost
-          in
-          if !ok then begin
-            choices.(i) <- choice_sw c;
-            enumerate (i + 1) area cpu_cost'
-          end
-          else counters.pruned <- counters.pruned + 1;
-          if not was_used then st.used.(c) <- false;
-          Array.iter
-            (fun ai -> st.loads.(ai).(c) <- st.loads.(ai).(c) - load)
-            nd.members
-        done
-      | None -> ()
-    end
-  in
-  enumerate 0 0 0;
-  let tasks = Array.of_list !tasks in
-  Array.sort (fun a b -> Int.compare a.t_bound b.t_bound) tasks;
+  Array.stable_sort (fun a b -> Int.compare a.t_bound b.t_bound) tasks;
   let incumbent = Atomic.make Search.empty in
+  let leaf = offer_leaf ~procs_arr ~accept ~nodes ~incumbent in
   (* Root incumbent seeding, as in {!Explore}: dive the best subtree
      before the pool starts, so the pool never starts with a cold
      bound. *)
   if Array.length tasks > 0 then begin
     let t = tasks.(0) in
-    search ~should_stop ~procs_arr ~accept ~nodes ~n ~st:t.t_state
+    search ~should_stop ~procs_arr ~nodes ~stop:n ~leaf ~st:t.t_state
       ~choices:t.t_choices ~counters ~incumbent t.t_depth t.t_area
       t.t_cpu_cost
   end;
@@ -311,7 +295,7 @@ let optimal ?(jobs = 1) ?(accept = fun _ -> true) ?deadline_ns tech
            pushed
          end
     in
-    search ~try_split ~should_stop ~procs_arr ~accept ~nodes ~n
+    search ~try_split ~should_stop ~procs_arr ~nodes ~stop:n ~leaf
       ~st:t.t_state ~choices:t.t_choices ~counters:acc ~incumbent t.t_depth
       t.t_area t.t_cpu_cost;
     acc

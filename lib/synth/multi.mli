@@ -11,6 +11,10 @@
     into independent subtree tasks (each with its own load matrix),
     sorted by lower bound, seeded by diving the best one, and pruned
     against a shared incumbent on a {!Par} pool that [jobs] sizes.
+    One walker serves every n-processor tree walk: the prefix split and
+    the task searches are the same depth-first recursion, stopped at a
+    given depth with a different leaf action, and it allocates nothing
+    per node.  {!Explore} holds the one-processor walker.
 
     Tie-break: among cost-optimal placements the one returned has the
     lexicographically least decision vector — processes in pid order,

@@ -5,7 +5,10 @@
     with it, latency slack and headroom for future variants).  This
     module enumerates the Pareto-optimal frontier of (total cost,
     worst-case application load) over all feasible bindings — small
-    instances only, as the enumeration is exhaustive. *)
+    instances only, as the enumeration is exhaustive.  The feasible
+    bindings come from {!Explore}'s one-processor walker
+    ({!Explore.split}, {!Explore.leaves}); this module only keeps the
+    non-dominated ones. *)
 
 type point = {
   binding : Binding.t;

@@ -46,6 +46,21 @@ let nodes ?(fixed = Binding.empty) tech apps =
     (List.map node
        (I.Process_id.Set.elements (App.union_procs (Array.to_list apps))))
 
+(* A shallow static split: just enough seeds for the cursor to hand
+   every domain a distinct well-estimated subtree at start-up.  Load
+   balance does not depend on this depth — tasks re-split on demand
+   whenever a worker goes hungry — and a deep static split is actively
+   harmful: seeds all enqueue at pool start, so a wide seed array means
+   the last-claimed seeds sit queued for most of the run, which is
+   exactly the [par.task_queue_wait_ns] tail the deques are meant to
+   remove. *)
+let split_depth ~jobs ~n ~branching =
+  let target = jobs * 16 in
+  let rec depth d reach =
+    if reach >= target || d >= 14 then d else depth (d + 1) (reach * branching)
+  in
+  max 0 (min (n - 2) (depth 0 1))
+
 type counters = { mutable explored : int; mutable pruned : int }
 
 let zero () = { explored = 0; pruned = 0 }

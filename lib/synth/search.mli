@@ -1,5 +1,6 @@
 (** Shared pieces of the exact branch-and-bound explorers ({!Explore},
-    {!Multi}): per-process decision nodes and the canonical incumbent.
+    {!Multi}): per-process decision nodes, the static split depth and
+    the canonical incumbent.
 
     {b Canonical tie-break.}  Among feasible bindings of equal cost the
     explorers return the one with the lexicographically least
@@ -35,6 +36,13 @@ val nodes : ?fixed:Binding.t -> Tech.t -> App.t array -> node array
     with any [fixed] pin applied to its options.
     @raise Pinned_unavailable on an unsatisfiable pin.
     @raise Not_found when a process is missing from the library. *)
+
+val split_depth : jobs:int -> n:int -> branching:int -> int
+(** The depth of the static prefix split over [n] decisions with
+    [branching] children per node: the shallowest depth whose
+    [branching ^ depth] prefixes reach [jobs * 16] seeds, capped at 14
+    and clamped to [0 .. n - 2], so tiny problems become one root
+    task. *)
 
 type counters = { mutable explored : int; mutable pruned : int }
 (** [explored]: decision nodes expanded — nodes that survive the bound

@@ -225,6 +225,31 @@ let test_table1_tie () =
         [ ("cold", None); ("warm from {PA:HW}", Some other) ])
     Harness.all_jobs
 
+(* The jobs=1 work counts are deterministic: any change to the search —
+   its order, its pruning, its split — moves them.  Pinned on Table 1
+   and on fixed-seed generated instances. *)
+let test_sequential_counts_pinned () =
+  let cases =
+    [
+      ("table1", (F2.table1_tech, [ F2.app1; F2.app2 ]), (7, 8));
+      ("random n14 s1", Harness.random_instance ~n:14 ~seed:1, (613, 612));
+      ("random n14 s2", Harness.random_instance ~n:14 ~seed:2, (172, 171));
+      ("random n20 s11", Harness.random_instance ~n:20 ~seed:11, (1524, 1523));
+      ("random n20 s12", Harness.random_instance ~n:20 ~seed:12, (2452, 2449));
+      ("mixed n16 s4", Harness.random_mixed_instance ~n:16 ~seed:4, (18, 11));
+      ("mixed n22 s15", Harness.random_mixed_instance ~n:22 ~seed:15, (107, 105));
+      ("tie-prone n10 s7", Harness.tie_prone_instance ~n:10 ~seed:7, (52, 33));
+      ("tie-prone n10 s8", Harness.tie_prone_instance ~n:10 ~seed:8, (42, 30));
+    ]
+  in
+  List.iter
+    (fun (name, (tech, apps), expected) ->
+      let s = Synth.Explore.optimal_exn ~jobs:1 tech apps in
+      Alcotest.(check (pair int int))
+        (name ^ " explored/pruned") expected
+        (s.Synth.Explore.explored, s.Synth.Explore.pruned))
+    cases
+
 let suite =
   ( "explore-parallel",
     [
@@ -240,4 +265,6 @@ let suite =
       Alcotest.test_case "table1 across job counts" `Quick test_table1_parallel;
       Alcotest.test_case "table1 tie at PA area 30" `Quick test_table1_tie;
       Alcotest.test_case "tiny problems (n = 0-3)" `Quick test_tiny_problems;
+      Alcotest.test_case "jobs=1 work counts pinned" `Quick
+        test_sequential_counts_pinned;
     ] )

@@ -182,6 +182,26 @@ let test_vcd_reconfiguration_marks () =
   Alcotest.(check bool) "reconfiguration state present" true
     (contains ~needle:"b10 " vcd)
 
+(* The search loop allocates nothing per node: on a fixed instance of
+   more than 100 k expanded nodes, the whole solve — setup, split and
+   leaves included — stays under one minor word per expanded node. *)
+let test_search_allocation_free () =
+  let tech, procs, apps = Harness.random_multi_instance ~n:18 ~n_cpu:2 ~seed:1 in
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  match Synth.Multi.optimal ~jobs:1 tech procs apps with
+  | None -> Alcotest.fail "feasible instance"
+  | Some s ->
+    let words = Gc.minor_words () -. before in
+    let explored = s.Synth.Multi.explored in
+    Alcotest.(check bool)
+      (Format.sprintf "at least 100k nodes (%d)" explored)
+      true (explored >= 100_000);
+    Alcotest.(check bool)
+      (Format.sprintf "%.0f minor words for %d nodes" words explored)
+      true
+      (words < float_of_int explored)
+
 let suite =
   ( "multi-vcd",
     [
@@ -199,4 +219,6 @@ let suite =
       Alcotest.test_case "vcd export" `Quick test_vcd_export;
       Alcotest.test_case "vcd reconfiguration marks" `Quick
         test_vcd_reconfiguration_marks;
+      Alcotest.test_case "search allocation-free" `Quick
+        test_search_allocation_free;
     ] )

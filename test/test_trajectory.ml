@@ -308,6 +308,42 @@ let test_parse_sim_and_family_fields () =
       "family_compiled" (Some 6.0) w.T.family_compiled_speedup
   | Ok _ -> Alcotest.fail "expected 1 record with 1 workload"
 
+(* Records from [one-walker] on omit the raw obs/v1 [metrics]
+   snapshot; a trajectory mixing both shapes parses, and the gate runs
+   across them. *)
+let test_parse_without_metrics () =
+  let fresh =
+    {|{
+    "schema": "bench-explore/v1",
+    "timestamp": 1786000000,
+    "label": "no-metrics",
+    "max_jobs": 4,
+    "workloads": [
+      {
+        "name": "table1",
+        "runs": [
+          {"jobs": 1, "wall_s": 0.4, "cost": 41, "explored": 10, "pruned": 3,
+           "binding_digest": "ab12"},
+          {"jobs": 4, "wall_s": 0.1, "cost": 41, "explored": 15, "pruned": 5,
+           "binding_digest": "ab12"}
+        ],
+        "costs_identical": true
+      }
+    ],
+    "aggregate": {"wall_s_jobs1": 0.4, "wall_s_max_jobs": 0.1, "speedup_max_jobs": 4.0}
+  }|}
+  in
+  let trimmed = String.trim sample_json in
+  let both =
+    String.sub trimmed 0 (String.length trimmed - 1) ^ ",\n" ^ fresh ^ "\n]"
+  in
+  match T.records_of_string both with
+  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Ok [ baseline; fresh ] ->
+    Alcotest.(check string) "fresh label" "no-metrics" fresh.T.label;
+    expect_pass (check ~baseline:(Some baseline) ~fresh ())
+  | Ok rs -> Alcotest.failf "expected 2 records, got %d" (List.length rs)
+
 let test_parse_rejects_bad_schema () =
   let bad = {|[{"schema": "bench-explore/v2", "max_jobs": 1}]|} in
   match T.records_of_string bad with
@@ -352,4 +388,6 @@ let suite =
         `Quick test_family_within_tolerance;
       Alcotest.test_case "parses the sim and family speedup fields" `Quick
         test_parse_sim_and_family_fields;
+      Alcotest.test_case "parses records without the metrics snapshot" `Quick
+        test_parse_without_metrics;
     ] )
