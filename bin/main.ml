@@ -1353,7 +1353,7 @@ let schedule_cmd =
 
 let pareto_cmd =
   let run jobs metrics_path =
-    let points =
+    let { Synth.Pareto.points; degraded = _ } =
       Synth.Pareto.frontier ~jobs F2.table1_tech [ F2.app1; F2.app2 ]
     in
     Format.printf "cost/load Pareto frontier (%d points):@." (List.length points);

@@ -198,18 +198,19 @@ let synthesize t ~deadline_ns ~jobs ~id ~model ~tech ~capacity =
       in
       (response, commits))
 
-let pareto ~jobs ~id ~model ~tech ~capacity =
+let pareto ~deadline_ns ~jobs ~id ~model ~tech ~capacity =
   match (load_system model, load_tech tech) with
   | Error e, _ | _, Error e -> (P.error ?id e, [])
   | Ok system, Ok tech -> (
     let apps = Synth.App.of_system system in
-    match Synth.Pareto.frontier ~jobs ?capacity tech apps with
+    match Synth.Pareto.frontier ~jobs ?capacity ?deadline_ns tech apps with
     | exception Not_found ->
       (P.error ?id "technology library misses an application process", [])
-    | points ->
+    | { Synth.Pareto.points; degraded } ->
       ( P.ok ?id
           [
             ("op", J.String "pareto");
+            ("degraded", J.Bool degraded);
             ( "points",
               J.List
                 (List.map
@@ -358,7 +359,7 @@ let rec run_op t ~admitted_ns ~queue_depth ~jobs (r : P.request) =
   | P.Synthesize { model; tech; capacity } ->
     synthesize t ~deadline_ns ~jobs ~id ~model ~tech ~capacity
   | P.Pareto { model; tech; capacity } ->
-    pareto ~jobs ~id ~model ~tech ~capacity
+    pareto ~deadline_ns ~jobs ~id ~model ~tech ~capacity
   | P.Simulate { model; until; family; compiled = _ } ->
     simulate t ~id ~jobs ~model ~until ~family
   | P.Batch items ->

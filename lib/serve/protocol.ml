@@ -38,6 +38,13 @@ let require_str name json =
 
 let ( let* ) = Result.bind
 
+(* the explorers raise on a negative capacity (no binding can meet
+   it); the boundary refuses it before the request is queued *)
+let capacity_field json =
+  match int_field "capacity" json with
+  | Some c when c < 0 -> Error "field \"capacity\" must be >= 0"
+  | capacity -> Ok capacity
+
 let rec op_of_json ~depth json =
   match str_field "op" json with
   | None -> Error "missing or non-string field \"op\""
@@ -48,11 +55,13 @@ let rec op_of_json ~depth json =
   | Some "synthesize" ->
     let* model = require_str "model" json in
     let* tech = require_str "tech" json in
-    Ok (Synthesize { model; tech; capacity = int_field "capacity" json })
+    let* capacity = capacity_field json in
+    Ok (Synthesize { model; tech; capacity })
   | Some "pareto" ->
     let* model = require_str "model" json in
     let* tech = require_str "tech" json in
-    Ok (Pareto { model; tech; capacity = int_field "capacity" json })
+    let* capacity = capacity_field json in
+    Ok (Pareto { model; tech; capacity })
   | Some "simulate" ->
     let* model = require_str "model" json in
     Ok

@@ -15,7 +15,10 @@ type op =
           response — see docs/OBSERVABILITY.md *)
   | Shutdown  (** graceful: drain queued work, then exit *)
   | Synthesize of { model : string; tech : string; capacity : int option }
+      (** [capacity] is at least 0 when parsed from the wire *)
   | Pareto of { model : string; tech : string; capacity : int option }
+      (** honours the request deadline like [Synthesize]: the response
+          carries the frontier points proved in time and ["degraded"] *)
   | Simulate of {
       model : string;
       until : int option;
@@ -44,8 +47,9 @@ and request = {
 }
 
 val request_of_json : Obs.Json.t -> (request, string) result
-(** Validates the schema tag when present and rejects unknown [op]s and
-    nested batches with a message suitable for an error response. *)
+(** Validates the schema tag when present and rejects unknown [op]s,
+    nested batches and a negative [capacity] with a message suitable for
+    an error response. *)
 
 val request_to_json : request -> Obs.Json.t
 

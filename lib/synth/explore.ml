@@ -88,9 +88,8 @@ let materialize ~(nodes : Search.node array) choices =
    [choices] and [loads] hold that prefix.  A full search stops at [n]
    and its leaf offers the binding to the incumbent ({!offer_leaf}); the
    prefix split stops at the split depth and its leaf emits a task
-   ({!split}); {!leaves} stops at [n] under an incumbent that never
-   fills, so every capacity-feasible leaf is reached.  The leaf runs at
-   leaves only, so the hot path pays one compared variable for it. *)
+   ({!split}).  The leaf runs at leaves only, so the hot path pays one
+   compared variable for it. *)
 (* [try_split i area any_sw] is consulted at branch nodes where both
    children exist: returning [true] means the caller captured the
    hardware sibling as a pool task, so only the software child descends
@@ -257,13 +256,6 @@ let split ~capacity ~processor_cost ~(nodes : Search.node array) ~n_apps
     ~choices:(Array.make (Array.length nodes) 0)
     ~counters ~incumbent:(Atomic.make Search.empty) 0 0 false;
   Array.of_list (List.rev !tasks)
-
-let leaves ~capacity ~processor_cost ~(nodes : Search.node array) t f =
-  search ~capacity ~processor_cost ~nodes ~stop:(Array.length nodes)
-    ~leaf:(fun choices loads cost _ _ ->
-      f choices ~cost ~worst_load:(worst_load loads))
-    ~loads:t.t_loads ~choices:t.t_choices ~counters:(Search.zero ())
-    ~incumbent:(Atomic.make Search.empty) t.t_depth t.t_area t.t_any_sw
 
 (* The search is best-first at two levels.  Tasks from {!split} are
    ordered by the cost of a greedy completion of their prefix and run on
@@ -453,6 +445,7 @@ let warm_candidate ~capacity ~processor_cost ~accept
 
 let solve ?(jobs = 1) ?(capacity = Schedule.default_capacity) ?fixed
     ?(accept = fun _ -> true) ?deadline_ns ?warm tech apps =
+  if capacity < 0 then invalid_arg "Explore.solve: capacity < 0";
   let jobs = Par.resolve_jobs jobs in
   let start_ns = Obs.Clock.now_ns () in
   Obs.Metric.incr m_solves;

@@ -13,11 +13,11 @@
     {!Par} pool sharing one incumbent for cross-domain pruning.  [jobs]
     only sizes the pool; at [jobs = 1] the tasks run inline.
 
-    One walker serves every one-processor tree walk: the prefix split,
-    the task searches and {!Pareto}'s exhaustive enumeration ({!split},
-    {!leaves}) are the same depth-first recursion, stopped at a given
-    depth with a different leaf action.  {!Multi} holds the walker for
-    several processors.
+    One walker serves every one-processor tree walk: the prefix split
+    and the task searches are the same depth-first recursion, stopped at
+    a given depth with a different leaf action.  {!Multi} holds the
+    walker for several processors, and {!Pareto} builds its frontier
+    from solves.
 
     Tie-break: when several bindings attain the optimal cost, the one
     returned has the lexicographically least decision vector —
@@ -94,7 +94,7 @@ val solve :
     load; an invalid warm binding is counted and ignored.
     @raise Not_found when an application process is missing from the
     technology library.
-    @raise Invalid_argument when [jobs < 0]. *)
+    @raise Invalid_argument when [jobs < 0] or [capacity < 0]. *)
 
 val optimal :
   ?jobs:int ->
@@ -118,26 +118,3 @@ val optimal_exn :
 (** @raise Failure with the diagnostic's message when infeasible. *)
 
 val pp_solution : Format.formatter -> solution -> unit
-
-(** {2 The walker, for exhaustive enumeration} *)
-
-type task
-(** A subtree of the decision tree: a decided prefix and its loads. *)
-
-val split :
-  capacity:int -> processor_cost:int -> nodes:Search.node array ->
-  n_apps:int -> depth:int -> Search.counters -> task array
-(** The capacity-feasible prefixes of the first [depth] decisions, in
-    canonical order; the walk's node counts are added to the counters. *)
-
-val leaves :
-  capacity:int -> processor_cost:int -> nodes:Search.node array -> task ->
-  (int array -> cost:int -> worst_load:int -> unit) -> unit
-(** Calls the function on every capacity-feasible leaf of the task's
-    subtree with its decision vector (live only during the call: copy it
-    to keep it), total cost and highest per-application load.  Complete
-    vectors compare ([compare]) as their bindings do under
-    {!Binding.compare}.  Consumes the task. *)
-
-val materialize : nodes:Search.node array -> int array -> Binding.t
-(** The binding a complete decision vector stands for. *)

@@ -203,8 +203,8 @@ type task = {
   t_depth : int;
 }
 
-(* The subtrees at [depth] as tasks in canonical order, as
-   {!Explore.split}. *)
+(* The subtrees at [depth] as tasks in canonical order, as Explore's
+   prefix split builds them. *)
 let split ~procs_arr ~nodes ~n_app ~depth counters =
   let n_cpu = Array.length procs_arr in
   let tasks = ref [] in

@@ -1,4 +1,5 @@
 type point = { binding : Binding.t; total_cost : int; worst_load : int }
+type frontier = { points : point list; degraded : bool }
 
 let dominates a b =
   a.total_cost <= b.total_cost && a.worst_load <= b.worst_load
@@ -6,60 +7,48 @@ let dominates a b =
 
 let m_frontiers = Obs.Registry.counter "pareto.frontiers"
 let m_points = Obs.Registry.counter "pareto.points"
-let m_tasks = Obs.Registry.counter "pareto.tasks"
 
-let frontier ?(jobs = 1) ?(capacity = Schedule.default_capacity) tech apps =
-  let jobs = Par.resolve_jobs jobs in
+let frontier ?(jobs = 1) ?(capacity = Schedule.default_capacity) ?deadline_ns
+    tech apps =
+  if capacity < 0 then invalid_arg "Pareto.frontier: capacity < 0";
   let start_ns = Obs.Clock.now_ns () in
   Obs.Metric.incr m_frontiers;
-  let apps_arr = Array.of_list apps in
-  let nodes = Search.nodes tech apps_arr in
-  let processor_cost = Tech.processor_cost tech in
-  (* every capacity-feasible leaf, through the explorer's walker:
-     prefix tasks at the split depth, each subtree enumerated on the
-     pool *)
-  let tasks =
-    Explore.split ~capacity ~processor_cost ~nodes
-      ~n_apps:(Array.length apps_arr)
-      ~depth:(Search.split_depth ~jobs ~n:(Array.length nodes) ~branching:2)
-      (Search.zero ())
+  (* the deadline cut a solve short: its binding is not proved optimal,
+     so nothing from it is emitted *)
+  let exception Cut in
+  let solve capacity =
+    match Explore.solve ~jobs ~capacity ?deadline_ns tech apps with
+    | Ok s when not s.Explore.degraded -> Some s
+    | Error Explore.Infeasible -> None
+    | Ok _ | Error Explore.Deadline_no_incumbent -> raise Cut
+    | Error (Explore.Pinned_impl_unavailable _) -> assert false (* no pins *)
   in
-  Obs.Metric.add m_tasks (Array.length tasks);
-  let results =
-    Par.map ~jobs
-      (fun t ->
-        let leaves = ref [] in
-        Explore.leaves ~capacity ~processor_cost ~nodes t
-          (fun vec ~cost ~worst_load ->
-            leaves := (cost, worst_load, Array.copy vec) :: !leaves);
-        !leaves)
-      tasks
+  let cost (s : Explore.solution) = s.cost.Cost.total in
+  (* ε-constraint descent: the optimum at capacity [L], binding and
+     all, is the optimum at every capacity from its load up to [L], so
+     solving next at one below its load visits every distinct optimum.
+     It is a frontier point unless that next solve keeps its cost. *)
+  let points = ref [] in
+  let rec sweep = function
+    | None -> ()
+    | Some (s : Explore.solution) ->
+      let next = if s.worst_load = 0 then None else solve (s.worst_load - 1) in
+      (match next with
+      | Some s' when cost s' = cost s -> ()
+      | Some _ | None ->
+        points :=
+          { binding = s.binding; total_cost = cost s; worst_load = s.worst_load }
+          :: !points);
+      sweep next
   in
-  (* Sorted by cost, then load, then the decision vector — the canonical
-     binding order of {!Binding.compare} —, a leaf is on the frontier
-     exactly when its load is below every load seen before it: that
-     drops dominated points and keeps, for each objective vector, its
-     lex-least binding as the representative, whatever order the tasks
-     returned in.  Only the frontier's bindings are built. *)
-  let frontier_points =
-    List.rev
-      (fst
-         (List.fold_left
-            (fun (kept, min_load) (total_cost, worst_load, vec) ->
-              if worst_load < min_load then
-                ( { binding = Explore.materialize ~nodes vec; total_cost;
-                    worst_load }
-                  :: kept,
-                  worst_load )
-              else (kept, min_load))
-            ([], max_int)
-            (List.sort compare
-               (Array.fold_left (fun acc l -> List.rev_append l acc) [] results))))
+  let degraded =
+    match sweep (solve capacity) with () -> false | exception Cut -> true
   in
-  Obs.Metric.add m_points (List.length frontier_points);
+  let points = List.rev !points in
+  Obs.Metric.add m_points (List.length points);
   Obs.Registry.record_span ~name:"pareto.frontier_ns" ~start_ns
     ~dur_ns:(Obs.Clock.elapsed_ns start_ns);
-  frontier_points
+  { points; degraded }
 
 let pp_point ppf p =
   Format.fprintf ppf "cost=%d load=%d [%a]" p.total_cost p.worst_load

@@ -127,6 +127,40 @@ let tie_prone_instance ~n ~seed =
   in
   (tech, tie_prone_apps rng pids)
 
+(* The explore-json benchmark's figure2-gen-medium workload
+   ([skewed_apps_and_tech] in bench/main.ml): a generated Figure-2
+   variant system of 26 processes whose first six, in decision order,
+   are ASIC-expensive but cheap to schedule.  Explored at capacity
+   120. *)
+let figure2_gen_medium () =
+  let seed = 9 in
+  let system =
+    Variants.Generator.generate
+      {
+        Variants.Generator.seed;
+        shared_processes = 8;
+        sites = 3;
+        variants_per_site = 2;
+        cluster_processes = 3;
+        latency_range = (1, 10);
+      }
+  in
+  let apps = Synth.App.of_system system in
+  let pids = I.Process_id.Set.elements (Synth.App.union_procs apps) in
+  let weight pid =
+    1 + (((Variants.Generator.process_weight pid * 31) + (seed * 53)) mod 100)
+  in
+  let tech =
+    Synth.Tech.make ~processor_cost:15
+      (List.mapi
+         (fun i pid ->
+           let w = weight pid in
+           if i < 6 then (pid, Synth.Tech.both ~load:(4 + (w mod 5)) ~area:(300 + w))
+           else (pid, Synth.Tech.both ~load:((w / 3) + 5) ~area:(w + 10)))
+         pids)
+  in
+  (tech, apps)
+
 (* The multi-processor counterpart: processors of equal or near-equal
    cost (1–3) tie on which processor hosts a process, too. *)
 let tie_prone_multi_instance ~n ~n_cpu ~seed =
@@ -321,13 +355,13 @@ let multi_answer = function
           (fun (r, l) -> (I.Resource_id.to_string r, l))
           s.Synth.Multi.worst_load )
 
-let pareto_answer pts =
+let pareto_answer (f : Synth.Pareto.frontier) =
   List.map
     (fun p ->
       ( p.Synth.Pareto.total_cost,
         p.Synth.Pareto.worst_load,
         binding_str p.Synth.Pareto.binding ))
-    pts
+    f.Synth.Pareto.points
 
 (* The job counts every explorer must agree across: the inline pool,
    two and four domains, and oversubscription (8). *)

@@ -93,6 +93,36 @@ let test_jobs_validation () =
       a.Synth.Explore.cost.Synth.Cost.total
   | _ -> Alcotest.fail "instance expected feasible"
 
+(* A negative capacity admits no binding.  The search only tests the
+   capacity when it adds software load, so unchecked it would answer
+   with an all-hardware binding that {!Synth.Schedule.check} rejects;
+   both entry points refuse it, at every job count.  Capacity 0 is a
+   real problem: only all-hardware bindings fit. *)
+let test_negative_capacity_rejected () =
+  let tech, apps = (F2.table1_tech, [ F2.app1; F2.app2 ]) in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: capacity -1 accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun jobs ->
+      raises
+        (Format.sprintf "solve jobs=%d" jobs)
+        (fun () -> ignore (Synth.Explore.solve ~jobs ~capacity:(-1) tech apps));
+      raises
+        (Format.sprintf "frontier jobs=%d" jobs)
+        (fun () -> ignore (Synth.Pareto.frontier ~jobs ~capacity:(-1) tech apps)))
+    [ 1; 2 ];
+  match Synth.Explore.solve ~capacity:0 tech apps with
+  | Ok s ->
+    Alcotest.(check int) "capacity 0: load" 0 s.Synth.Explore.worst_load;
+    Alcotest.(check bool) "capacity 0: schedulable" true
+      (Synth.Schedule.is_feasible
+         (Synth.Schedule.check ~capacity:0 tech s.Synth.Explore.binding apps))
+  | Error d ->
+    Alcotest.failf "capacity 0: %a" Synth.Explore.pp_diagnostic d
+
 (* ------------------------- diagnostics ----------------------------- *)
 
 let diagnostic =
@@ -256,6 +286,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_parallel_matches_sequential;
       Alcotest.test_case "counters aggregated" `Quick test_parallel_counters;
       Alcotest.test_case "jobs validation" `Quick test_jobs_validation;
+      Alcotest.test_case "negative capacity rejected" `Quick
+        test_negative_capacity_rejected;
       Alcotest.test_case "pinned impl unavailable" `Quick
         test_pinned_impl_unavailable;
       Alcotest.test_case "infeasible stays distinct" `Quick

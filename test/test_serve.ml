@@ -71,6 +71,13 @@ let test_protocol_roundtrip () =
         deadline_ms = None;
         jobs = None;
         trace = false;
+        op = P.Pareto { model = "m"; tech = "t"; capacity = Some 0 };
+      };
+      {
+        P.id = None;
+        deadline_ms = None;
+        jobs = None;
+        trace = false;
         op =
           P.Simulate
             { model = "m"; until = Some 40; compiled = true; family = false };
@@ -103,6 +110,11 @@ let test_protocol_rejects () =
   reject {|{"schema":"serve/v2","op":"ping"}|} "wrong schema";
   reject {|{"op":"frobnicate"}|} "unknown op";
   reject {|{"op":"synthesize"}|} "synthesize without model/tech";
+  (* no binding meets a negative capacity; 0 admits all-hardware ones *)
+  reject {|{"op":"synthesize","model":"m","tech":"t","capacity":-1}|}
+    "negative synthesize capacity";
+  reject {|{"op":"pareto","model":"m","tech":"t","capacity":-1}|}
+    "negative pareto capacity";
   reject
     {|{"op":"batch","requests":[{"op":"batch","requests":[]}]}|}
     "nested batch"
@@ -363,6 +375,62 @@ let test_no_deadline_not_degraded () =
   | Ok s ->
     Alcotest.(check bool) "not degraded" false s.Synth.Explore.degraded
   | Error _ -> Alcotest.fail "solve failed"
+
+(* [pareto] under a deadline returns the frontier proved in time: a
+   prefix, possibly empty, of the full one, marked degraded.  An
+   expired deadline proves nothing; without one the frontier is
+   complete and not degraded. *)
+let test_pareto_deadline_prefix () =
+  let tech, apps = big_workload () in
+  let frontier ?deadline_ns () =
+    Synth.Pareto.frontier ~jobs:2 ~capacity:140 ?deadline_ns tech apps
+  in
+  let full = frontier () in
+  Alcotest.(check bool) "no deadline, not degraded" false
+    full.Synth.Pareto.degraded;
+  let full_answer = Harness.pareto_answer full in
+  let rec is_prefix = function
+    | [], _ -> true
+    | x :: xs, y :: ys -> x = y && is_prefix (xs, ys)
+    | _ :: _, [] -> false
+  in
+  List.iter
+    (fun budget_ns ->
+      let f = frontier ~deadline_ns:(Obs.Clock.now_ns () + budget_ns) () in
+      let answer = Harness.pareto_answer f in
+      if budget_ns = 0 then
+        Alcotest.(check bool) "expired deadline, degraded" true
+          f.Synth.Pareto.degraded;
+      if f.Synth.Pareto.degraded then
+        Alcotest.(check bool) "a prefix of the full frontier" true
+          (is_prefix (answer, full_answer))
+      else
+        Alcotest.(check bool) "in time: the full frontier" true
+          (answer = full_answer))
+    [ 0; 1_000_000; 10_000_000 ]
+
+let test_handler_pareto_degraded () =
+  let pareto deadline_ms =
+    handle
+      {
+        (plain
+           (P.Pareto { model = model_source; tech = tech_source; capacity = None }))
+        with
+        P.deadline_ms;
+      }
+  in
+  let points r =
+    Option.map List.length (Option.bind (J.member "points" r) J.to_list)
+  in
+  let degraded r = Option.bind (J.member "degraded" r) J.to_bool in
+  let r = pareto None in
+  Alcotest.(check string) "ok" "ok" (P.status_of_response r);
+  Alcotest.(check (option bool)) "not degraded" (Some false) (degraded r);
+  Alcotest.(check bool) "points" true (Option.value ~default:0 (points r) > 0);
+  let r = pareto (Some 0) in
+  Alcotest.(check string) "ok when expired" "ok" (P.status_of_response r);
+  Alcotest.(check (option bool)) "degraded" (Some true) (degraded r);
+  Alcotest.(check (option int)) "nothing proved" (Some 0) (points r)
 
 (* ---------------------------- client ------------------------------ *)
 
@@ -777,6 +845,10 @@ let suite =
         test_deadline_returns_degraded_incumbent;
       Alcotest.test_case "no deadline, no degradation" `Quick
         test_no_deadline_not_degraded;
+      Alcotest.test_case "pareto deadline keeps a frontier prefix" `Quick
+        test_pareto_deadline_prefix;
+      Alcotest.test_case "handler pareto marks degraded" `Quick
+        test_handler_pareto_degraded;
       Alcotest.test_case "client ids distinct" `Quick test_client_fresh_ids;
       QCheck_alcotest.to_alcotest test_backoff_clamped;
       Alcotest.test_case "backoff shape and clamp" `Quick test_backoff_shape;

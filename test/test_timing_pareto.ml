@@ -66,7 +66,9 @@ let test_timing_custom_model () =
     (Synth.Timing.latency_of ~latency_model chain_tech b (pid "p"))
 
 let test_pareto_frontier_table1 () =
-  let points = Synth.Pareto.frontier F2.table1_tech [ F2.app1; F2.app2 ] in
+  let points =
+    (Synth.Pareto.frontier F2.table1_tech [ F2.app1; F2.app2 ]).Synth.Pareto.points
+  in
   Alcotest.(check bool) "nonempty" true (points <> []);
   (* sorted by cost, loads strictly decreasing along the frontier *)
   let rec check_sorted = function
@@ -90,7 +92,9 @@ let test_pareto_frontier_table1 () =
   | [] -> Alcotest.fail "frontier empty"
 
 let test_pareto_no_dominated_points () =
-  let points = Synth.Pareto.frontier F2.table1_tech [ F2.app1; F2.app2 ] in
+  let points =
+    (Synth.Pareto.frontier F2.table1_tech [ F2.app1; F2.app2 ]).Synth.Pareto.points
+  in
   List.iter
     (fun p ->
       Alcotest.(check bool) "not dominated" false
@@ -100,7 +104,9 @@ let test_pareto_no_dominated_points () =
 let test_pareto_infeasible () =
   let tech = Synth.Tech.make [ (pid "x", Synth.Tech.sw_only ~load:500) ] in
   Alcotest.(check int) "empty frontier" 0
-    (List.length (Synth.Pareto.frontier tech [ Synth.App.make "a" [ pid "x" ] ]))
+    (List.length
+       (Synth.Pareto.frontier tech [ Synth.App.make "a" [ pid "x" ] ])
+         .Synth.Pareto.points)
 
 let test_dominates () =
   let mk c l = { Synth.Pareto.binding = Synth.Binding.empty; total_cost = c; worst_load = l } in

@@ -133,28 +133,68 @@ let prop_superpose_differential =
         (fun r -> conflicts_in_hw r && superpose_answer r = first)
         runs)
 
+(* Capacities for the frontier sweeps: 0 (only all-hardware bindings
+   fit), small, the default and large — the sweep must end at load 0
+   and at capacity 0 as well as where the default capacity stops it. *)
+let arb_capacity =
+  QCheck.oneofl [ 0; 40; Synth.Schedule.default_capacity; 400 ]
+
+(* The frontier for every job count equals the brute-force oracle's —
+   vectors and representative bindings. *)
+let pareto_matches_oracle ~capacity tech apps =
+  let answer jobs =
+    Harness.pareto_answer (Synth.Pareto.frontier ~jobs ~capacity tech apps)
+  in
+  Harness.agree answer
+  && answer 1
+     = List.map
+         (fun (c, l, b) -> (c, l, Harness.binding_str b))
+         (Harness.pareto_oracle ~capacity tech apps)
+
 let prop_pareto_differential =
   QCheck.Test.make ~name:"pareto: par == seq (200 workloads)" ~count:200
-    QCheck.(pair (int_range 4 6) (int_range 0 100_000))
-    (fun (n, seed) ->
+    QCheck.(triple (int_range 4 6) (int_range 0 100_000) arb_capacity)
+    (fun (n, seed, capacity) ->
       let tech, apps = Harness.random_instance ~n ~seed in
-      Harness.agree (fun jobs ->
-          Harness.pareto_answer (Synth.Pareto.frontier ~jobs tech apps)))
+      pareto_matches_oracle ~capacity tech apps)
 
 (* Pareto keeps the lex-least binding as the representative of each
-   objective vector, whatever order the subtree tasks finish in. *)
+   objective vector, whatever the job count. *)
 let prop_pareto_ties =
   QCheck.Test.make ~name:"pareto: tie-prone representatives are canonical"
     ~count:200
-    QCheck.(pair (int_range 1 8) (int_range 0 100_000))
-    (fun (n, seed) ->
+    QCheck.(triple (int_range 1 8) (int_range 0 100_000) arb_capacity)
+    (fun (n, seed, capacity) ->
       let tech, apps = Harness.tie_prone_instance ~n ~seed in
-      let answer jobs = Harness.pareto_answer (Synth.Pareto.frontier ~jobs tech apps) in
-      Harness.agree answer
-      && answer 1
-         = List.map
-             (fun (c, l, b) -> (c, l, Harness.binding_str b))
-             (Harness.pareto_oracle tech apps))
+      pareto_matches_oracle ~capacity tech apps)
+
+(* A frontier far too large to enumerate leaf by leaf: 26 processes at
+   capacity 120.  It opens at the explorer's optimum and closes with
+   the all-hardware point at load 0, the same for both job counts. *)
+let test_pareto_figure2_gen_medium () =
+  let tech, apps = Harness.figure2_gen_medium () in
+  let capacity = 120 in
+  let frontier jobs = Synth.Pareto.frontier ~jobs ~capacity tech apps in
+  let f = frontier 1 in
+  let points = f.Synth.Pareto.points in
+  Alcotest.(check bool) "not degraded" false f.Synth.Pareto.degraded;
+  Alcotest.(check int) "points" 64 (List.length points);
+  let optimum = Synth.Explore.optimal_exn ~capacity tech apps in
+  let first = List.hd points and last = List.hd (List.rev points) in
+  Alcotest.(check (triple int int string))
+    "first = the optimum"
+    ( optimum.Synth.Explore.cost.Synth.Cost.total,
+      optimum.Synth.Explore.worst_load,
+      Harness.binding_str optimum.Synth.Explore.binding )
+    ( first.Synth.Pareto.total_cost,
+      first.Synth.Pareto.worst_load,
+      Harness.binding_str first.Synth.Pareto.binding );
+  Alcotest.(check (pair int int)) "first" (728, 120)
+    (first.Synth.Pareto.total_cost, first.Synth.Pareto.worst_load);
+  Alcotest.(check (pair int int)) "last" (3301, 0)
+    (last.Synth.Pareto.total_cost, last.Synth.Pareto.worst_load);
+  Alcotest.(check bool) "jobs=2 agrees" true
+    (Harness.pareto_answer f = Harness.pareto_answer (frontier 2))
 
 (* --------------------- scheduler regression tests ------------------- *)
 
@@ -281,6 +321,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_superpose_differential;
       QCheck_alcotest.to_alcotest prop_pareto_differential;
       QCheck_alcotest.to_alcotest prop_pareto_ties;
+      Alcotest.test_case "pareto: figure2-gen-medium frontier" `Quick
+        test_pareto_figure2_gen_medium;
       Alcotest.test_case "forced steal" `Quick test_forced_steal;
       Alcotest.test_case "cancellation, sequential" `Quick
         test_cancellation_seq;
